@@ -15,7 +15,7 @@
 //! Run with `cargo bench -p noftl-bench --bench queue_depth`.  The
 //! simulated-time comparison, the utilization report (summary *and*
 //! per-die busy fractions) and the **skewed-workload scenario** — an
-//! erase storm on half the dies while the completion-driven flusher
+//! erase storm on half the dies while a completion-driven windowed flush
 //! writes back a batch, comparing `RoundRobin` against `QueueAware`
 //! placement on flush completion time and minimum per-die utilization —
 //! are printed before the criterion samples.  The headline measurements
@@ -89,8 +89,8 @@ fn simulated_reports() {
         cmp.sequential
     );
 
-    // Skewed workload: an erase storm occupies half the dies while the
-    // completion-driven flusher writes back a batch — the scenario the
+    // Skewed workload: an erase storm occupies half the dies while a
+    // completion-driven windowed flush writes back a batch — the scenario the
     // queue-aware placement policy exists for.
     let skew = smoke::skewed_flush_comparison(pages, 3);
     println!("skewed-load flush, {pages} pages, erase storm on half the dies:");
@@ -99,11 +99,11 @@ fn simulated_reports() {
     println!("  queue-aware: {:>10.1} us simulated", skew.queue_aware.as_secs_f64() * 1e6);
     per_die_report("queue-aware", &skew.qa_util, &skew.qa_metrics);
     println!("  speedup: {:.2}x", skew.speedup());
-    // The flusher window HWM is read from the registry too — the same
-    // number `FlusherStats::inflight_hwm` used to be printed from.
+    // The flush window's high-water mark, measured: the largest
+    // in-flight depth the write pipeline sampled at a submission.
     for (label, snap) in [("round-robin", &skew.rr_metrics), ("queue-aware", &skew.qa_metrics)] {
-        if let Some(hwm) = snap.gauge("core.flusher.inflight_hwm") {
-            println!("  {label} flusher in-flight hwm: {hwm}");
+        if let Some(occupancy) = snap.histogram("core.flush.window_occupancy") {
+            println!("  {label} flush in-flight hwm: {}", occupancy.max);
         }
     }
     assert!(

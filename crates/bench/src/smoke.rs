@@ -20,7 +20,6 @@ use flash_sim::{
     BlockAddr, DeviceBuilder, DeviceSnapshot, DieId, FlashGeometry, NandDevice, PageAddr,
     PageMetadata, SimTime, TimingModel, UtilizationSummary,
 };
-use noftl_core::flusher::Flusher;
 use noftl_core::kv::{KvConfig, KvStore};
 use noftl_core::{NoFtl, NoFtlConfig, PlacementConfig, PlacementPolicyKind, RegionSpec};
 use noftl_obs::MetricsSnapshot;
@@ -172,7 +171,7 @@ pub fn write_batch_comparison(pages: u64) -> BatchComparison {
 /// placement redesign.
 ///
 /// Half of an 8-die region's dies are busy with a background erase storm
-/// (a stand-in for GC / wear-leveling traffic) when the flusher writes a
+/// (a stand-in for GC / wear-leveling traffic) when a windowed flush writes a
 /// batch of dirty pages back through the completion-driven pipeline.
 /// Under `RoundRobin` a fixed 1/N of the batch queues behind the storm
 /// and gates the flush; `QueueAware` reads the per-die load snapshots and
@@ -224,12 +223,10 @@ pub fn skewed_flush_comparison(pages: u64, storm_erases: u32) -> SkewedFlushComp
             }
         }
         // Flush `pages` dirty pages through the completion-driven
-        // pipeline while the storm is in flight.
-        let flusher = Flusher::new(pages as usize + 1);
-        for p in 0..pages {
-            flusher.submit(&noftl, obj, p, vec![p as u8; 4096], SimTime::ZERO).unwrap();
-        }
-        let done = flusher.flush_all(&noftl, SimTime::ZERO).unwrap();
+        // pipeline, 64 in flight, while the storm is in flight.
+        let batch: Vec<(u32, u64, Vec<u8>)> =
+            (0..pages).map(|p| (obj, p, vec![p as u8; 4096])).collect();
+        let done = noftl.write_windowed(&batch, SimTime::ZERO, 64).unwrap();
         let snap = noftl.metrics_snapshot();
         (done, dev.utilization(), snap)
     };

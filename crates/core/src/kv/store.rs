@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 use flash_sim::{ServiceClass, SimTime};
 
 use crate::error::NoFtlError;
-use crate::manager::NoFtl;
+use crate::manager::{NoFtl, Pipeline};
 use crate::object::ObjectId;
 use crate::obs::KvObs;
 use crate::region::RegionId;
@@ -33,9 +33,10 @@ pub struct KvConfig {
     /// Number of runs in one level that triggers a size-tiered merge into
     /// the next level.
     pub compaction_threshold: usize,
-    /// Fan flushes/compactions out through [`NoFtl::write_batch`] (the
-    /// queued multi-die path).  `false` falls back to one blocking write
-    /// per page — the ablation the `kv_ops` bench measures.
+    /// Fan flushes/compactions out across the region's dies in one
+    /// batch-deep window (as [`NoFtl::write_batch`] does).  `false` writes
+    /// one page at a time (window 1) — the ablation the `kv_ops` bench
+    /// measures.
     pub queued_flush: bool,
     /// Checkpoint the storage manager after create/flush/compaction so
     /// the run directory is durable (the store's commit point).  Disable
@@ -645,30 +646,14 @@ impl KvStore {
         let encoded = run::encode_run(&self.name, level, seq_lo, seq_hi, entries, page_size);
         let obj = self.noftl.create_object(&self.run_name(level, seq_lo, seq_hi), self.region)?;
         let page_count = encoded.pages.len() as u64;
-        let mut now = if self.config.queued_flush {
-            // The whole run issues at one shared time and fans across the
-            // region's dies via the command queue.
-            let batch: Vec<(ObjectId, u64, Vec<u8>)> = encoded
-                .pages
-                .into_iter()
-                .enumerate()
-                .map(|(i, page)| (obj, i as u64, page))
-                .collect();
-            match class {
-                Some(c) => self.noftl.write_batch_classed(&batch, at, c)?,
-                None => self.noftl.write_batch(&batch, at)?,
-            }
-        } else {
-            // Ablation: strictly sequential page writes.
-            let mut t = at;
-            for (i, page) in encoded.pages.into_iter().enumerate() {
-                t = match class {
-                    Some(c) => self.noftl.write_classed(obj, i as u64, &page, t, c)?,
-                    None => self.noftl.write(obj, i as u64, &page, t)?,
-                };
-            }
-            t
-        };
+        let batch: Vec<(ObjectId, u64, Vec<u8>)> =
+            encoded.pages.into_iter().enumerate().map(|(i, page)| (obj, i as u64, page)).collect();
+        // The queued flush issues the whole run at one shared time, fanned
+        // across the region's dies; the ablation writes strictly one page
+        // at a time.
+        let window = if self.config.queued_flush { batch.len() } else { 1 };
+        let mut now =
+            self.noftl.write_pages(&batch, at, Pipeline { class, ..Pipeline::window(window) })?;
         if self.config.auto_checkpoint {
             now = self.noftl.checkpoint(now)?;
         }
@@ -743,12 +728,12 @@ impl KvStore {
             let reads: Vec<_> =
                 (0..src.data_pages).map(|page| (src.object, u64::from(page))).collect();
             // Compaction merge input is maintenance traffic.
-            let (pages, t) = self.noftl.read_windowed_classed(
-                &reads,
-                now,
-                self.config.read_window,
-                ServiceClass::Background,
-            )?;
+            let io = Pipeline {
+                class: Some(ServiceClass::Background),
+                observed: true,
+                ..Pipeline::window(self.config.read_window)
+            };
+            let (pages, t) = self.noftl.read_pages(&reads, now, io)?;
             now = now.max(t);
             inner.stats.run_page_reads += reads.len() as u64;
             for (page, payload) in pages.iter().enumerate() {

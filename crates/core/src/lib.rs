@@ -29,9 +29,11 @@
 //!   the paper's Figure 2;
 //! * a small **DDL dialect** ([`ddl`]): `CREATE REGION`,
 //!   `CREATE TABLESPACE`, `CREATE TABLE ... TABLESPACE`;
-//! * **flusher batches** ([`flusher`]) and **short atomic writes**
-//!   ([`atomic`]) exploiting direct control of out-of-place updates
-//!   (advantage (iv) in the paper's introduction);
+//! * **one page-I/O pipeline** — every logical read and write runs one
+//!   windowed loop that bounds the pages in flight
+//!   ([`NoFtl::write_windowed`], [`NoFtl::read_windowed`]), including the
+//!   **short atomic writes** ([`atomic`]) exploiting direct control of
+//!   out-of-place updates (advantage (iv) in the paper's introduction);
 //! * **NoFTL-KV** ([`kv`]) — a log-structured key-value layer whose
 //!   memtable flushes and compactions are region-local queued multi-die
 //!   batches, with crash safety riding the checkpoint/mount path.
@@ -43,7 +45,6 @@ pub mod atomic;
 pub mod config;
 pub mod ddl;
 pub mod error;
-pub mod flusher;
 pub mod gc;
 pub mod hotcold;
 pub mod kv;

@@ -6,13 +6,13 @@
 //! leveling — all *per region*, using DBMS-level knowledge (which object a
 //! page belongs to) that a conventional FTL does not have.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use flash_sim::lockorder::{self, LockClass, TrackedGuard};
-use flash_sim::queue::{CmdHandle, CommandQueue, FlashCommand};
+use flash_sim::queue::{CmdHandle, CmdOutput, CommandQueue, FlashCommand};
 use flash_sim::{
     BlockAddr, DieId, FlashBackend, IoTag, PageAddr, PageMetadata, PageState, ServiceClass, SimTime,
 };
@@ -23,7 +23,7 @@ use crate::config::NoFtlConfig;
 use crate::error::NoFtlError;
 use crate::gc::{select_victim, GcCandidate};
 use crate::object::{ObjectId, ObjectState};
-use crate::obs::CoreObs;
+use crate::obs::{CoreObs, Window};
 use crate::recovery::{
     self, CheckpointImage, MountReport, ObjectImage, RegionImage, META_OBJECT_ID, META_REGION_NAME,
 };
@@ -32,11 +32,12 @@ use crate::stats::{NoFtlStats, ObjectStats, RegionStats};
 use crate::wear::needs_static_wl;
 use crate::Result;
 
-/// In-memory state of the region-metadata journal: where checkpoint chunk
-/// pages currently live.  The chunks themselves carry all recovery
+/// In-memory directory of the flash pages no object translation maps:
+/// where checkpoint chunk pages currently live, plus the staged pages of
+/// an in-progress atomic write.  The chunks themselves carry all recovery
 /// information in their page payloads and OOB records; this directory only
 /// lets the *running* manager invalidate superseded chunks and lets GC
-/// keep the chunk locations current when it relocates them.
+/// keep every location here current when it relocates a page.
 #[derive(Debug, Default)]
 struct MetaDirectory {
     /// Region hosting the checkpoint chunks (created lazily).
@@ -50,6 +51,43 @@ struct MetaDirectory {
     staging: Vec<Option<PageAddr>>,
     /// Sequence number of the newest completed checkpoint.
     seq: u64,
+    /// Pages of the atomic write in progress: programmed, not yet mapped.
+    atomic: Vec<ProgrammedPage>,
+}
+
+/// A programmed page awaiting its translation commit.
+#[derive(Debug, Clone, Copy)]
+struct ProgrammedPage {
+    obj: ObjectId,
+    page: u64,
+    ppa: PageAddr,
+    issued: SimTime,
+    completed: SimTime,
+}
+
+/// How one call drives the page pipeline ([`NoFtl::read_pages`] and
+/// [`NoFtl::write_pages`]); every public data-path entry point is one
+/// choice of these.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pipeline {
+    /// Pages in flight at once: page `i` issues no earlier than the
+    /// completion of page `i - window`.
+    pub(crate) window: usize,
+    /// Service class forced onto every command instead of the region's
+    /// own (maintenance traffic runs `Background` this way).
+    pub(crate) class: Option<ServiceClass>,
+    /// Stage every translation until all programs succeed.
+    pub(crate) atomic: bool,
+    /// Record the `core.{flush,read}.window_*` histograms.  Only the
+    /// windowed entry points do, so other traffic never skews them.
+    pub(crate) observed: bool,
+}
+
+impl Pipeline {
+    /// A plain pipeline of `window` pages in flight.
+    pub(crate) fn window(window: usize) -> Self {
+        Pipeline { window, class: None, atomic: false, observed: false }
+    }
 }
 
 struct Inner {
@@ -77,8 +115,8 @@ struct PendingIo {
 pub struct NoFtl {
     device: Arc<dyn FlashBackend>,
     config: NoFtlConfig,
-    /// Submission queue feeding the device; `write_batch` and the
-    /// `submit_read`/`submit_write` APIs fan commands out through it.
+    /// Submission queue feeding the device: every logical page read and
+    /// program of the page pipeline goes through it.
     queue: CommandQueue,
     /// Completions of `submit_read`/`submit_write` awaiting `wait_io`.
     pending_io: Mutex<HashMap<u64, PendingIo>>,
@@ -161,11 +199,6 @@ impl NoFtl {
     /// registry at this instant.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.obs.registry().snapshot()
-    }
-
-    /// Pre-bound metric handles (crate-internal recording sites).
-    pub(crate) fn obs(&self) -> &CoreObs {
-        &self.obs
     }
 
     /// Lock the manager state.  This is the sole acquisition site of the
@@ -550,107 +583,14 @@ impl NoFtl {
     /// Read a logical page of an object.  Returns the payload and the
     /// completion time.
     pub fn read(&self, obj: ObjectId, page: u64, at: SimTime) -> Result<(Vec<u8>, SimTime)> {
-        let mut inner = self.lock_inner();
-        let inner = &mut *inner;
-        let (ppa, rid) = {
-            let state = Self::object_mut(&mut inner.objects, obj)?;
-            let ppa =
-                state.translate(page).ok_or(NoFtlError::PageNotWritten { object: obj, page })?;
-            state.counters.reads += 1;
-            (ppa, state.region)
-        };
-        let tag = Self::region_tag(&inner.regions, &self.config, rid);
-        let (data, _, out) = self.device.read_page_tagged(ppa, at, tag)?;
-        let region = Self::region_mut(&mut inner.regions, rid)?;
-        region.stats.host_reads += 1;
-        region.stats.read_latency_sum += out.completed_at - at;
-        Ok((data, out.completed_at))
+        let (mut payloads, done) = self.read_pages(&[(obj, page)], at, Pipeline::window(1))?;
+        Ok((payloads.pop().unwrap_or_default(), done))
     }
 
     /// Write (out-of-place) a logical page of an object.  Returns the
     /// completion time.
     pub fn write(&self, obj: ObjectId, page: u64, data: &[u8], at: SimTime) -> Result<SimTime> {
-        self.write_with(obj, page, data, at, None)
-    }
-
-    /// [`NoFtl::write`] with the submitted command's service class forced
-    /// to `class` (maintenance paths tag their writes `Background` this
-    /// way regardless of the region's own class).
-    pub fn write_classed(
-        &self,
-        obj: ObjectId,
-        page: u64,
-        data: &[u8],
-        at: SimTime,
-        class: ServiceClass,
-    ) -> Result<SimTime> {
-        self.write_with(obj, page, data, at, Some(class))
-    }
-
-    fn write_with(
-        &self,
-        obj: ObjectId,
-        page: u64,
-        data: &[u8],
-        at: SimTime,
-        class: Option<ServiceClass>,
-    ) -> Result<SimTime> {
-        self.check_page_size(data)?;
-        let mut inner = self.lock_inner();
-        let inner = &mut *inner;
-        let rid = Self::object_ref(&inner.objects, obj)?.region;
-        let ppa = {
-            let region = Self::region_mut(&mut inner.regions, rid)?;
-            Self::allocate_in_region(
-                &self.obs,
-                self.device.as_ref(),
-                &self.config,
-                region,
-                &mut inner.objects,
-                &mut inner.meta,
-                at,
-            )
-            .ok_or(NoFtlError::RegionFull { region: rid })?
-        };
-        let meta = PageMetadata::new(obj, page).with_payload_checksum(data);
-        let mut tag = Self::region_tag(&inner.regions, &self.config, rid);
-        if let Some(class) = class {
-            tag.class = class;
-        }
-        let out = self.device.program_page_tagged(ppa, data, meta, at, tag)?;
-        Self::commit_program(self.device.as_ref(), inner, obj, page, ppa, at, out.completed_at)?;
-        Ok(out.completed_at)
-    }
-
-    /// Commit a successfully programmed page: switch the object's
-    /// translation to `ppa`, invalidate the superseded version and
-    /// account the write in the owning region's statistics.  Shared by
-    /// the blocking write, the atomic batch, the queued batch and the
-    /// asynchronous submit path so the four stay equivalent by
-    /// construction.
-    fn commit_program(
-        device: &dyn FlashBackend,
-        inner: &mut Inner,
-        obj: ObjectId,
-        page: u64,
-        ppa: PageAddr,
-        at: SimTime,
-        completed: SimTime,
-    ) -> Result<()> {
-        let rid = Self::object_ref(&inner.objects, obj)?.region;
-        let old = {
-            let state = Self::object_mut(&mut inner.objects, obj)?;
-            state.counters.writes += 1;
-            state.set_translation(page, ppa)
-        };
-        let region = Self::region_mut(&mut inner.regions, rid)?;
-        if let Some(old) = old {
-            let _ = device.mark_invalid(old);
-            region.record_invalidation(old);
-        }
-        region.stats.host_writes += 1;
-        region.stats.write_latency_sum += completed - at;
-        Ok(())
+        self.write_pages(&[(obj, page, data)], at, Pipeline::window(1))
     }
 
     /// Write a batch of pages, all issued at `at`, fanned out through the
@@ -661,8 +601,8 @@ impl NoFtl {
     /// submitted to the [`CommandQueue`] carrying the same issue time, so
     /// the batch executes with full die-level parallelism in the timing
     /// model; the returned time is the completion of the slowest page.
-    /// This is the path used by the buffer manager's background flushers
-    /// and the WAL group-commit force.
+    /// This is the path used by the WAL group-commit force and the KV
+    /// store's run writes.
     ///
     /// Each page's translation is committed before the next page is
     /// allocated — a GC pass triggered by a later allocation therefore
@@ -674,278 +614,53 @@ impl NoFtl {
     /// torn pages stay unmapped for recovery to discard, and the first
     /// failure in submission order is returned.
     pub fn write_batch(&self, writes: &[(ObjectId, u64, Vec<u8>)], at: SimTime) -> Result<SimTime> {
-        self.write_batch_with(writes, at, None)
-    }
-
-    /// [`NoFtl::write_batch`] with every command's service class forced to
-    /// `class` (e.g. `Background` for KV compaction merges).
-    pub fn write_batch_classed(
-        &self,
-        writes: &[(ObjectId, u64, Vec<u8>)],
-        at: SimTime,
-        class: ServiceClass,
-    ) -> Result<SimTime> {
-        self.write_batch_with(writes, at, Some(class))
-    }
-
-    fn write_batch_with(
-        &self,
-        writes: &[(ObjectId, u64, Vec<u8>)],
-        at: SimTime,
-        class: Option<ServiceClass>,
-    ) -> Result<SimTime> {
-        if writes.is_empty() {
-            return Ok(at);
-        }
-        for (_, _, data) in writes {
-            self.check_page_size(data)?;
-        }
-        let mut inner = self.lock_inner();
-        let inner = &mut *inner;
-        let mut done = at;
-        let mut first_err: Option<NoFtlError> = None;
-        // Regions that already reported RegionFull during this batch:
-        // retrying them would re-run the GC victim scan per page for
-        // nothing (only invalidations could free space, and those were
-        // already applied when the region filled up).
-        let mut full_regions: Vec<RegionId> = Vec::new();
-        for (obj, page, data) in writes {
-            // Allocation, program and translation commit stay together:
-            // deferring the commit would let a mid-batch GC erase a
-            // staged-but-unmapped page (GC's retranslate only follows
-            // committed mappings).
-            let rid = match Self::object_ref(&inner.objects, *obj) {
-                Ok(o) => o.region,
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                    continue;
-                }
-            };
-            if full_regions.contains(&rid) {
-                first_err.get_or_insert(NoFtlError::RegionFull { region: rid });
-                continue;
-            }
-            let region = match Self::region_mut(&mut inner.regions, rid) {
-                Ok(r) => r,
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                    continue;
-                }
-            };
-            let Some(ppa) = Self::allocate_in_region(
-                &self.obs,
-                self.device.as_ref(),
-                &self.config,
-                region,
-                &mut inner.objects,
-                &mut inner.meta,
-                at,
-            ) else {
-                full_regions.push(rid);
-                first_err.get_or_insert(NoFtlError::RegionFull { region: rid });
-                continue;
-            };
-            let meta = PageMetadata::new(*obj, *page).with_payload_checksum(data);
-            let mut tag = Self::region_tag(&inner.regions, &self.config, rid);
-            if let Some(class) = class {
-                tag.class = class;
-            }
-            let handle = self.queue.submit_tagged(
-                FlashCommand::Program { addr: ppa, data: data.clone(), meta },
-                at,
-                tag,
-            );
-            let completion = self.queue.wait(handle)?;
-            match completion.result {
-                Ok(out) => {
-                    let completed = out.outcome.completed_at;
-                    done = done.max(completed);
-                    Self::commit_program(
-                        self.device.as_ref(),
-                        inner,
-                        *obj,
-                        *page,
-                        ppa,
-                        at,
-                        completed,
-                    )?;
-                }
-                Err(e) => {
-                    // The physical page may be torn but is never mapped;
-                    // GC or mount-time recovery reclaims it.
-                    first_err.get_or_insert(e.into());
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(done),
-        }
+        self.write_pages(writes, at, Pipeline::window(writes.len()))
     }
 
     /// Write a batch of pages through a bounded completion-driven
-    /// pipeline: up to `window` pages are kept in flight via
-    /// [`NoFtl::submit_write`], and each further page is issued at the
-    /// completion instant of the oldest outstanding one — the behaviour
-    /// of a depth-limited host driver.  With `window >= dies` this
-    /// reproduces [`NoFtl::write_batch`]'s fan-out timing exactly while
-    /// holding only `window` submissions outstanding.
+    /// pipeline: up to `window` pages are kept in flight, and each
+    /// further page is issued at the completion instant of the oldest
+    /// outstanding one — the behaviour of a depth-limited host driver.
+    /// With `window >= writes.len()` this is exactly
+    /// [`NoFtl::write_batch`]; with `window == 1` it is a chain of
+    /// [`NoFtl::write`] calls, each issued at the previous completion.
     ///
     /// The returned time is the **maximum completion across the whole
     /// window**, not the last page's: under queue-aware placement a later
     /// page steered to an idle die can complete before an earlier page
     /// queued behind a busy one.
     ///
-    /// On failure the pipeline drains its outstanding completions (so
-    /// none is leaked), keeps every already-committed translation — the
-    /// same torn-tail semantics as `write_batch` — and returns the first
-    /// error.
+    /// Failures follow `write_batch`'s torn-tail contract for every
+    /// window: each page whose program succeeded is committed, torn pages
+    /// stay unmapped, and the first failure in submission order is
+    /// returned.
     pub fn write_windowed(
         &self,
         writes: &[(ObjectId, u64, Vec<u8>)],
         at: SimTime,
         window: usize,
     ) -> Result<SimTime> {
-        let window_cap = window.max(1);
-        let mut inflight: std::collections::VecDeque<CmdHandle> =
-            std::collections::VecDeque::with_capacity(window_cap);
-        let mut clock = at;
-        let mut done = at;
-        let mut failure: Option<NoFtlError> = None;
-        for (obj, page, data) in writes {
-            if let Some(oldest) =
-                (inflight.len() == window_cap).then(|| inflight.pop_front()).flatten()
-            {
-                match self.wait_io(oldest) {
-                    Ok((_, completed)) => {
-                        done = done.max(completed);
-                        clock = clock.max(completed);
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-            match self.submit_write(*obj, *page, data, clock) {
-                Ok(handle) => {
-                    inflight.push_back(handle);
-                    self.obs.note_window_occupancy(inflight.len() as u64);
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        for handle in inflight {
-            match self.wait_io(handle) {
-                Ok((_, completed)) => done = done.max(completed),
-                Err(e) => failure = failure.or(Some(e)),
-            }
-        }
-        match failure {
-            Some(e) => Err(e),
-            None => {
-                if !writes.is_empty() {
-                    self.obs.note_window_done(writes.len() as u64, at, done);
-                }
-                Ok(done)
-            }
-        }
+        self.write_pages(writes, at, Pipeline { observed: true, ..Pipeline::window(window) })
     }
 
     /// Read a batch of pages through the same bounded completion-driven
     /// pipeline as [`NoFtl::write_windowed`]: up to `window` reads are
-    /// kept in flight via [`NoFtl::submit_read`], and each further read
-    /// is issued at the completion instant of the oldest outstanding one.
-    /// This is the path KV compaction run-merges, B⁺-tree range scans and
-    /// heap scans use to overlap their page fetches across dies instead
-    /// of reading one page at a time.
+    /// kept in flight, and each further read is issued at the completion
+    /// instant of the oldest outstanding one.  This is the path KV
+    /// compaction run-merges, B⁺-tree range scans and heap scans use to
+    /// overlap their page fetches across dies instead of reading one page
+    /// at a time.
     ///
     /// Returns the payloads **in request order** and the maximum
-    /// completion across the whole window.  On failure the pipeline
-    /// drains its outstanding completions and returns the first error.
+    /// completion across the whole window, or the first failure in
+    /// submission order.
     pub fn read_windowed(
         &self,
         reads: &[(ObjectId, u64)],
         at: SimTime,
         window: usize,
     ) -> Result<(Vec<Vec<u8>>, SimTime)> {
-        self.read_windowed_with(reads, at, window, None)
-    }
-
-    /// [`NoFtl::read_windowed`] with every command's service class forced
-    /// to `class` (e.g. `Background` for KV compaction merge input).
-    pub fn read_windowed_classed(
-        &self,
-        reads: &[(ObjectId, u64)],
-        at: SimTime,
-        window: usize,
-        class: ServiceClass,
-    ) -> Result<(Vec<Vec<u8>>, SimTime)> {
-        self.read_windowed_with(reads, at, window, Some(class))
-    }
-
-    fn read_windowed_with(
-        &self,
-        reads: &[(ObjectId, u64)],
-        at: SimTime,
-        window: usize,
-        class: Option<ServiceClass>,
-    ) -> Result<(Vec<Vec<u8>>, SimTime)> {
-        let window_cap = window.max(1);
-        let mut inflight: std::collections::VecDeque<(usize, CmdHandle)> =
-            std::collections::VecDeque::with_capacity(window_cap);
-        let mut results: Vec<Vec<u8>> = vec![Vec::new(); reads.len()];
-        let mut clock = at;
-        let mut done = at;
-        let mut failure: Option<NoFtlError> = None;
-        for (idx, (obj, page)) in reads.iter().enumerate() {
-            if let Some((slot, oldest)) =
-                (inflight.len() == window_cap).then(|| inflight.pop_front()).flatten()
-            {
-                match self.wait_io(oldest) {
-                    Ok((data, completed)) => {
-                        results[slot] = data;
-                        done = done.max(completed);
-                        clock = clock.max(completed);
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-            match self.submit_read_with(*obj, *page, clock, class) {
-                Ok(handle) => {
-                    inflight.push_back((idx, handle));
-                    self.obs.note_read_window_occupancy(inflight.len() as u64);
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        for (slot, handle) in inflight {
-            match self.wait_io(handle) {
-                Ok((data, completed)) => {
-                    results[slot] = data;
-                    done = done.max(completed);
-                }
-                Err(e) => failure = failure.or(Some(e)),
-            }
-        }
-        match failure {
-            Some(e) => Err(e),
-            None => {
-                if !reads.is_empty() {
-                    self.obs.note_read_window_done(reads.len() as u64, at, done);
-                }
-                Ok((results, done))
-            }
-        }
+        self.read_pages(reads, at, Pipeline { observed: true, ..Pipeline::window(window) })
     }
 
     /// Submit an asynchronous read of a logical page, issued at `at`.
@@ -960,44 +675,10 @@ impl NoFtl {
     /// simulated time; clients that want lock-free die parallelism drive
     /// a [`CommandQueue`] over the device directly.
     pub fn submit_read(&self, obj: ObjectId, page: u64, at: SimTime) -> Result<CmdHandle> {
-        self.submit_read_with(obj, page, at, None)
-    }
-
-    fn submit_read_with(
-        &self,
-        obj: ObjectId,
-        page: u64,
-        at: SimTime,
-        class: Option<ServiceClass>,
-    ) -> Result<CmdHandle> {
         let mut inner = self.lock_inner();
-        let inner = &mut *inner;
-        let (ppa, rid) = {
-            let state = Self::object_mut(&mut inner.objects, obj)?;
-            let ppa =
-                state.translate(page).ok_or(NoFtlError::PageNotWritten { object: obj, page })?;
-            state.counters.reads += 1;
-            (ppa, state.region)
-        };
-        let mut tag = Self::region_tag(&inner.regions, &self.config, rid);
-        if let Some(class) = class {
-            tag.class = class;
-        }
-        let handle = self.queue.submit_tagged(FlashCommand::Read { addr: ppa }, at, tag);
-        let completion = self.queue.wait(handle)?;
-        match completion.result {
-            Ok(out) => {
-                let completed = out.outcome.completed_at;
-                let rid = Self::object_ref(&inner.objects, obj)?.region;
-                let region = Self::region_mut(&mut inner.regions, rid)?;
-                region.stats.host_reads += 1;
-                region.stats.read_latency_sum += completed - at;
-                self.lock_pending_io()
-                    .insert(handle.seq(), PendingIo { data: out.data, completed_at: completed });
-                Ok(handle)
-            }
-            Err(e) => Err(e.into()),
-        }
+        let (handle, data, completed_at) = self.read_step(&mut inner, obj, page, at, None)?;
+        self.lock_pending_io().insert(handle.seq(), PendingIo { data, completed_at });
+        Ok(handle)
     }
 
     /// Submit an asynchronous (out-of-place) write of a logical page,
@@ -1018,55 +699,12 @@ impl NoFtl {
         data: &[u8],
         at: SimTime,
     ) -> Result<CmdHandle> {
-        self.submit_write_with(obj, page, data, at, None)
-    }
-
-    fn submit_write_with(
-        &self,
-        obj: ObjectId,
-        page: u64,
-        data: &[u8],
-        at: SimTime,
-        class: Option<ServiceClass>,
-    ) -> Result<CmdHandle> {
         self.check_page_size(data)?;
         let mut inner = self.lock_inner();
-        let inner = &mut *inner;
-        let rid = Self::object_ref(&inner.objects, obj)?.region;
-        let ppa = {
-            let region = Self::region_mut(&mut inner.regions, rid)?;
-            Self::allocate_in_region(
-                &self.obs,
-                self.device.as_ref(),
-                &self.config,
-                region,
-                &mut inner.objects,
-                &mut inner.meta,
-                at,
-            )
-            .ok_or(NoFtlError::RegionFull { region: rid })?
-        };
-        let meta = PageMetadata::new(obj, page).with_payload_checksum(data);
-        let mut tag = Self::region_tag(&inner.regions, &self.config, rid);
-        if let Some(class) = class {
-            tag.class = class;
-        }
-        let handle = self.queue.submit_tagged(
-            FlashCommand::Program { addr: ppa, data: data.to_vec(), meta },
-            at,
-            tag,
-        );
-        let completion = self.queue.wait(handle)?;
-        match completion.result {
-            Ok(out) => {
-                let completed = out.outcome.completed_at;
-                Self::commit_program(self.device.as_ref(), inner, obj, page, ppa, at, completed)?;
-                self.lock_pending_io()
-                    .insert(handle.seq(), PendingIo { data: Vec::new(), completed_at: completed });
-                Ok(handle)
-            }
-            Err(e) => Err(e.into()),
-        }
+        let (handle, completed_at) =
+            self.program_step(&mut inner, (obj, page, data), at, Pipeline::window(1))?;
+        self.lock_pending_io().insert(handle.seq(), PendingIo { data: Vec::new(), completed_at });
+        Ok(handle)
     }
 
     /// Claim a completed asynchronous I/O: the payload (empty for writes)
@@ -1095,36 +733,184 @@ impl NoFtl {
     /// (advantage (iv) in the paper): the new versions are programmed to
     /// freshly allocated pages first, and only if *all* programs succeed
     /// are the address translations switched and the old versions
-    /// invalidated.  On any failure the freshly written pages are marked
-    /// invalid and the previous versions remain visible.
+    /// invalidated.  GC triggered by a later allocation of the batch
+    /// keeps the staged pages' locations current.  On any failure the
+    /// freshly written pages are marked invalid and the previous versions
+    /// remain visible.
     pub fn write_atomic(
         &self,
         writes: &[(ObjectId, u64, Vec<u8>)],
         at: SimTime,
     ) -> Result<SimTime> {
+        self.write_pages(writes, at, Pipeline { atomic: true, ..Pipeline::window(writes.len()) })
+    }
+
+    /// The read pipeline: [`NoFtl::read_step`] for every page at its
+    /// window-gated issue time.  Returns the payloads in request order.
+    pub(crate) fn read_pages(
+        &self,
+        reads: &[(ObjectId, u64)],
+        at: SimTime,
+        io: Pipeline,
+    ) -> Result<(Vec<Vec<u8>>, SimTime)> {
+        let mut inner = self.lock_inner();
+        let inner = &mut *inner;
+        let mut payloads = Vec::with_capacity(reads.len());
+        let done = self.run_window(Window::Read, reads.len(), at, io, |i, issue| {
+            let (obj, page) = reads[i];
+            let (_, data, completed) = self.read_step(inner, obj, page, issue, io.class)?;
+            payloads.push(data);
+            Ok(completed)
+        })?;
+        Ok((payloads, done))
+    }
+
+    /// The write pipeline: [`NoFtl::program_step`] for every page at its
+    /// window-gated issue time.  A non-atomic pipeline commits each page
+    /// as it completes and carries on past failures (see
+    /// [`NoFtl::write_batch`]).  An atomic one stops at its first failure
+    /// and invalidates what it staged, or commits every staged page once
+    /// all programs succeeded.
+    pub(crate) fn write_pages<D: AsRef<[u8]>>(
+        &self,
+        writes: &[(ObjectId, u64, D)],
+        at: SimTime,
+        io: Pipeline,
+    ) -> Result<SimTime> {
         for (_, _, data) in writes {
-            self.check_page_size(data)?;
+            self.check_page_size(data.as_ref())?;
         }
         let mut inner = self.lock_inner();
         let inner = &mut *inner;
-        let mut staged: Vec<(ObjectId, u64, PageAddr, SimTime)> = Vec::with_capacity(writes.len());
-        let mut failure: Option<NoFtlError> = None;
-        for (obj, page, data) in writes {
-            let rid = match Self::object_ref(&inner.objects, *obj) {
-                Ok(o) => o.region,
+        // Regions that already reported RegionFull during this call:
+        // retrying them would re-run the GC victim scan per page for
+        // nothing (only invalidations could free space, and those were
+        // already applied when the region filled up).
+        let mut full_regions: Vec<RegionId> = Vec::new();
+        let result = self.run_window(Window::Write, writes.len(), at, io, |i, issue| {
+            let (obj, page, data) = &writes[i];
+            let rid = Self::object_ref(&inner.objects, *obj)?.region;
+            if full_regions.contains(&rid) {
+                return Err(NoFtlError::RegionFull { region: rid });
+            }
+            let step = self.program_step(inner, (*obj, *page, data.as_ref()), issue, io);
+            if let Err(NoFtlError::RegionFull { region }) = &step {
+                full_regions.push(*region);
+            }
+            step.map(|(_, completed)| completed)
+        });
+        if io.atomic {
+            let staged = std::mem::take(&mut inner.meta.atomic);
+            if result.is_ok() {
+                for programmed in staged {
+                    Self::commit_program(self.device.as_ref(), inner, programmed)?;
+                }
+            } else {
+                // Abort: the staged versions never become visible.
+                for s in staged {
+                    let _ = self.device.mark_invalid(s.ppa);
+                }
+            }
+        }
+        result
+    }
+
+    /// The windowed loop both directions share.  Page `i` issues at the
+    /// latest completion among the pages that have left the window
+    /// before it (never before `at`), so at most `window` pages are in
+    /// flight; a failed page leaves the window at its issue time.
+    /// Execution is eager, so the window is just those completion times.
+    ///
+    /// Returns the maximum completion over all pages, or the first
+    /// failure in submission order.  An atomic pipeline stops at its
+    /// first failure; every other one carries on past it.
+    fn run_window(
+        &self,
+        dir: Window,
+        pages: usize,
+        at: SimTime,
+        io: Pipeline,
+        mut step: impl FnMut(usize, SimTime) -> Result<SimTime>,
+    ) -> Result<SimTime> {
+        let window = io.window.max(1);
+        let mut inflight: VecDeque<SimTime> = VecDeque::with_capacity(window.min(pages));
+        let (mut clock, mut done) = (at, at);
+        let mut first_err: Option<NoFtlError> = None;
+        for i in 0..pages {
+            if inflight.len() == window {
+                if let Some(oldest) = inflight.pop_front() {
+                    clock = clock.max(oldest);
+                }
+            }
+            let completed = match step(i, clock) {
+                Ok(completed) => completed,
                 Err(e) => {
-                    failure = Some(e);
-                    break;
+                    first_err.get_or_insert(e);
+                    if io.atomic {
+                        break;
+                    }
+                    clock
                 }
             };
-            let region = match Self::region_mut(&mut inner.regions, rid) {
-                Ok(r) => r,
-                Err(e) => {
-                    failure = Some(e);
-                    break;
+            done = done.max(completed);
+            inflight.push_back(completed);
+            if io.observed {
+                self.obs.note_window_occupancy(dir, inflight.len() as u64);
+            }
+        }
+        match first_err {
+            Some(e) => Err(e),
+            None => {
+                if io.observed && pages > 0 {
+                    self.obs.note_window_done(dir, pages as u64, at, done);
                 }
-            };
-            let Some(ppa) = Self::allocate_in_region(
+                Ok(done)
+            }
+        }
+    }
+
+    /// The read step: translate one logical page, read it through the
+    /// command queue under the region's tag (or the pipeline's class)
+    /// and account the read.
+    fn read_step(
+        &self,
+        inner: &mut Inner,
+        obj: ObjectId,
+        page: u64,
+        at: SimTime,
+        class: Option<ServiceClass>,
+    ) -> Result<(CmdHandle, Vec<u8>, SimTime)> {
+        let (ppa, rid) = {
+            let state = Self::object_mut(&mut inner.objects, obj)?;
+            let ppa =
+                state.translate(page).ok_or(NoFtlError::PageNotWritten { object: obj, page })?;
+            state.counters.reads += 1;
+            (ppa, state.region)
+        };
+        let tag = Self::region_tag(&inner.regions, &self.config, rid, class);
+        let (handle, out) = self.issue(FlashCommand::Read { addr: ppa }, at, tag)?;
+        let completed = out.outcome.completed_at;
+        let region = Self::region_mut(&mut inner.regions, rid)?;
+        region.stats.host_reads += 1;
+        region.stats.read_latency_sum += completed - at;
+        Ok((handle, out.data, completed))
+    }
+
+    /// The program step: allocate a page in the object's region (running
+    /// GC where a die runs low), program it through the command queue
+    /// and commit the translation — or, in an atomic pipeline, stage the
+    /// page where GC keeps its location current until the batch commits.
+    fn program_step(
+        &self,
+        inner: &mut Inner,
+        (obj, page, data): (ObjectId, u64, &[u8]),
+        at: SimTime,
+        io: Pipeline,
+    ) -> Result<(CmdHandle, SimTime)> {
+        let rid = Self::object_ref(&inner.objects, obj)?.region;
+        let ppa = {
+            let region = Self::region_mut(&mut inner.regions, rid)?;
+            Self::allocate_in_region(
                 &self.obs,
                 self.device.as_ref(),
                 &self.config,
@@ -1132,34 +918,60 @@ impl NoFtl {
                 &mut inner.objects,
                 &mut inner.meta,
                 at,
-            ) else {
-                failure = Some(NoFtlError::RegionFull { region: rid });
-                break;
-            };
-            let meta = PageMetadata::new(*obj, *page).with_payload_checksum(data);
-            let tag = Self::region_tag(&inner.regions, &self.config, rid);
-            match self.device.program_page_tagged(ppa, data, meta, at, tag) {
-                Ok(out) => staged.push((*obj, *page, ppa, out.completed_at)),
-                Err(e) => {
-                    failure = Some(e.into());
-                    break;
-                }
-            }
+            )
+            .ok_or(NoFtlError::RegionFull { region: rid })?
+        };
+        let meta = PageMetadata::new(obj, page).with_payload_checksum(data);
+        let tag = Self::region_tag(&inner.regions, &self.config, rid, io.class);
+        let command = FlashCommand::Program { addr: ppa, data: data.to_vec(), meta };
+        // A failed program leaves the page unmapped: GC or mount-time
+        // recovery reclaims it.
+        let (handle, out) = self.issue(command, at, tag)?;
+        let programmed =
+            ProgrammedPage { obj, page, ppa, issued: at, completed: out.outcome.completed_at };
+        if io.atomic {
+            inner.meta.atomic.push(programmed);
+        } else {
+            Self::commit_program(self.device.as_ref(), inner, programmed)?;
         }
-        if let Some(err) = failure {
-            // Abort: the staged versions never become visible.
-            for (_, _, ppa, _) in staged {
-                let _ = self.device.mark_invalid(ppa);
-            }
-            return Err(err);
+        Ok((handle, programmed.completed))
+    }
+
+    /// Execute one command through the manager's queue.
+    fn issue(
+        &self,
+        command: FlashCommand,
+        at: SimTime,
+        tag: IoTag,
+    ) -> Result<(CmdHandle, CmdOutput)> {
+        let completion = self.queue.execute_tagged(command, at, tag);
+        Ok((completion.handle, completion.result?))
+    }
+
+    /// Commit a successfully programmed page: switch the object's
+    /// translation to its new location, invalidate the superseded version
+    /// and account the write in the owning region's statistics.  The
+    /// program step calls it per page, an atomic write once per staged
+    /// page after every program succeeded.
+    fn commit_program(
+        device: &dyn FlashBackend,
+        inner: &mut Inner,
+        ProgrammedPage { obj, page, ppa, issued, completed }: ProgrammedPage,
+    ) -> Result<()> {
+        let rid = Self::object_ref(&inner.objects, obj)?.region;
+        let old = {
+            let state = Self::object_mut(&mut inner.objects, obj)?;
+            state.counters.writes += 1;
+            state.set_translation(page, ppa)
+        };
+        let region = Self::region_mut(&mut inner.regions, rid)?;
+        if let Some(old) = old {
+            let _ = device.mark_invalid(old);
+            region.record_invalidation(old);
         }
-        // Commit: switch the translations.
-        let mut done = at;
-        for (obj, page, ppa, completed) in staged {
-            done = done.max(completed);
-            Self::commit_program(self.device.as_ref(), inner, obj, page, ppa, at, completed)?;
-        }
-        Ok(done)
+        region.stats.host_writes += 1;
+        region.stats.write_latency_sum += completed - issued;
+        Ok(())
     }
 
     /// Release a logical page: its flash page becomes invalid and the
@@ -1353,7 +1165,7 @@ impl NoFtl {
             // Checkpoint chunks are durability traffic even when the
             // journal falls back to a regular region: never budget-defer.
             let tag = {
-                let mut t = Self::region_tag(&inner.regions, &self.config, rid);
+                let mut t = Self::region_tag(&inner.regions, &self.config, rid, None);
                 t.exempt = true;
                 t
             };
@@ -1654,8 +1466,8 @@ impl NoFtl {
         let meta = MetaDirectory {
             region: image.meta_region,
             map: best_chunks,
-            staging: Vec::new(),
             seq: image.seq,
+            ..MetaDirectory::default()
         };
         report.regions = image.regions.len();
         report.objects = image.objects.len();
@@ -1690,16 +1502,22 @@ impl NoFtl {
         Ok(())
     }
 
-    /// The arbiter tag for host traffic of region `rid`: the region's
-    /// resolved service class (spec override or config default), keyed by
+    /// The arbiter tag for host traffic of region `rid`: `class` if the
+    /// caller forces one, else the region's resolved service class (spec
+    /// override or config default), keyed by
     /// region id so the device meters each region's channel budget
     /// separately.  Traffic of the metadata-journal region is
     /// durability-exempt — checkpoints are never budget-deferred.
-    fn region_tag(regions: &[Option<RegionRuntime>], config: &NoFtlConfig, rid: RegionId) -> IoTag {
+    fn region_tag(
+        regions: &[Option<RegionRuntime>],
+        config: &NoFtlConfig,
+        rid: RegionId,
+        class: Option<ServiceClass>,
+    ) -> IoTag {
         let Ok(region) = Self::region_ref(regions, rid) else {
             return IoTag::default();
         };
-        let class = region.service_class(config);
+        let class = class.unwrap_or_else(|| region.service_class(config));
         if region.name == META_REGION_NAME {
             IoTag::durability(class, Some(rid.0))
         } else {
@@ -1749,10 +1567,10 @@ impl NoFtl {
     /// allocator's `next_die` stripe; for
     /// [`QueueAware`](crate::placement::QueueAware) sorted by the device's
     /// per-die load snapshots), and the allocator takes the first die in
-    /// that order able to yield a page.  Every write path — single writes,
-    /// `write_batch`, `write_atomic`, `submit_write`, rebalancing and the
-    /// metadata journal — funnels through here, so a policy governs the
-    /// complete write path of its region.
+    /// that order able to yield a page.  Every write — the program step
+    /// of the page pipeline, rebalancing and the metadata journal —
+    /// funnels through here, so a policy governs the complete write path
+    /// of its region.
     fn allocate_in_region(
         obs: &CoreObs,
         device: &dyn FlashBackend,
@@ -1801,8 +1619,9 @@ impl NoFtl {
     }
 
     /// Update the owner's translation after a page move (GC copyback or
-    /// rebalance): regular objects through the directory, checkpoint
-    /// chunks through the metadata journal map.
+    /// rebalance): regular objects through the directory (and the staged
+    /// pages of an atomic write), checkpoint chunks through the metadata
+    /// journal map.
     fn retranslate(
         objects: &mut [Option<ObjectState>],
         meta_dir: &mut MetaDirectory,
@@ -1818,9 +1637,14 @@ impl NoFtl {
             if meta_dir.staging.get(idx).copied().flatten() == Some(src) {
                 meta_dir.staging[idx] = Some(dst);
             }
-        } else if let Some(Some(obj)) = objects.get_mut(meta.object_id as usize) {
-            if obj.translate(meta.logical_page) == Some(src) {
-                obj.set_translation(meta.logical_page, dst);
+        } else {
+            if let Some(Some(obj)) = objects.get_mut(meta.object_id as usize) {
+                if obj.translate(meta.logical_page) == Some(src) {
+                    obj.set_translation(meta.logical_page, dst);
+                }
+            }
+            for staged in meta_dir.atomic.iter_mut().filter(|s| s.ppa == src) {
+                staged.ppa = dst;
             }
         }
     }

@@ -1,5 +1,4 @@
-//! Registry handles pre-bound by the storage manager, flusher and KV
-//! store.
+//! Registry handles pre-bound by the storage manager and the KV store.
 //!
 //! All handles are registered once at construction (the cold path) so
 //! per-operation recording is pure relaxed atomics; a disabled registry
@@ -16,14 +15,15 @@
 //! * `core.placement.steered` / `core.placement.steer_delta_total` —
 //!   allocations that landed off the round-robin stripe position, and
 //!   the summed ring distance of those deflections;
-//! * `core.flush.window_occupancy` — in-flight depth of the windowed
-//!   write pipeline, sampled at every submission;
+//! * `core.flush.window_occupancy` — in-flight depth of the page
+//!   pipeline under `NoFtl::write_windowed`, sampled at every submission
+//!   (its max is the measured window high-water mark);
 //! * `core.flush.window_ns` — issue→drain latency of whole windows;
 //! * `core.read.window_occupancy` / `core.read.window_ns` — the same two
-//!   views of the windowed *read* pipeline (scans, compaction merges);
+//!   views of `NoFtl::read_windowed` (scans, compaction merges).  Blocking
+//!   calls, batches and atomic writes run the same pipeline but record
+//!   into neither;
 //! * `core.gc.{runs,pages_moved,blocks_erased}` — GC activity;
-//! * `core.flusher.{batches,pages}` / `core.flusher.inflight_hwm` — the
-//!   background flusher's batch counters and window high-water mark;
 //! * `kv.put.latency_ns`, `kv.flush.latency_ns`, `kv.compact.latency_ns`
 //!   and `kv.{flushes,compactions}` — LSM store activity.
 //!
@@ -34,7 +34,7 @@
 
 use std::sync::Arc;
 
-use noftl_obs::{Counter, Gauge, Histogram, MetricsRegistry, Unit};
+use noftl_obs::{Counter, Histogram, MetricsRegistry, Unit};
 
 use flash_sim::SimTime;
 
@@ -45,8 +45,19 @@ pub(crate) const TRACK_KV: u64 = 100;
 /// Tracer track for windowed-flush spans.
 pub(crate) const TRACK_FLUSH: u64 = 103;
 
-/// Handles the storage manager records into on allocation, GC, windowed
-/// writes and background flushes.
+/// Direction of a windowed page pipeline.  Each direction records into
+/// its own histograms, so scan and merge read windows never skew the
+/// write-flush latency distribution.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Window {
+    /// `core.flush.window_*`.
+    Write,
+    /// `core.read.window_*`.
+    Read,
+}
+
+/// Handles the storage manager records into on allocation, GC and
+/// windowed reads and writes.
 #[derive(Debug)]
 pub(crate) struct CoreObs {
     registry: Arc<MetricsRegistry>,
@@ -62,9 +73,6 @@ pub(crate) struct CoreObs {
     gc_runs: Counter,
     gc_pages_moved: Counter,
     gc_blocks_erased: Counter,
-    flusher_batches: Counter,
-    flusher_pages: Counter,
-    flusher_inflight_hwm: Gauge,
 }
 
 impl CoreObs {
@@ -82,9 +90,6 @@ impl CoreObs {
             gc_runs: registry.counter("core.gc.runs"),
             gc_pages_moved: registry.counter("core.gc.pages_moved"),
             gc_blocks_erased: registry.counter("core.gc.blocks_erased"),
-            flusher_batches: registry.counter("core.flusher.batches"),
-            flusher_pages: registry.counter("core.flusher.pages"),
-            flusher_inflight_hwm: registry.gauge("core.flusher.inflight_hwm"),
             registry,
         }
     }
@@ -137,53 +142,31 @@ impl CoreObs {
         );
     }
 
-    /// Sample the windowed write pipeline's in-flight depth at one
-    /// submission instant.
-    pub(crate) fn note_window_occupancy(&self, inflight: u64) {
-        self.flush_window_occupancy.record(inflight);
+    /// Sample a windowed pipeline's in-flight depth at one submission
+    /// instant.
+    pub(crate) fn note_window_occupancy(&self, dir: Window, inflight: u64) {
+        match dir {
+            Window::Write => self.flush_window_occupancy.record(inflight),
+            Window::Read => self.read_window_occupancy.record(inflight),
+        }
     }
 
-    /// Record a completed write window: issue→drain latency plus a
-    /// tracer span on the flush track.
-    pub(crate) fn note_window_done(&self, pages: u64, issued: SimTime, done: SimTime) {
-        self.flush_window_ns.record(done.since(issued).as_nanos());
+    /// Record a completed window: issue→drain latency plus a tracer span
+    /// on the flush track.
+    pub(crate) fn note_window_done(&self, dir: Window, pages: u64, issued: SimTime, done: SimTime) {
+        let (hist, category, name) = match dir {
+            Window::Write => (&self.flush_window_ns, "core.flush", "write_window"),
+            Window::Read => (&self.read_window_ns, "core.read", "read_window"),
+        };
+        hist.record(done.since(issued).as_nanos());
         self.registry.tracer().span(
-            "core.flush",
-            "write_window",
+            category,
+            name,
             TRACK_FLUSH,
             issued.as_nanos(),
             done.as_nanos(),
             &[("pages", pages)],
         );
-    }
-
-    /// Sample the windowed read pipeline's in-flight depth at one
-    /// submission instant.
-    pub(crate) fn note_read_window_occupancy(&self, inflight: u64) {
-        self.read_window_occupancy.record(inflight);
-    }
-
-    /// Record a completed read window: issue→drain latency plus a
-    /// tracer span on the flush track.  Kept separate from
-    /// [`CoreObs::note_window_done`] so scan/merge read windows never
-    /// skew the write-flush latency distribution.
-    pub(crate) fn note_read_window_done(&self, pages: u64, issued: SimTime, done: SimTime) {
-        self.read_window_ns.record(done.since(issued).as_nanos());
-        self.registry.tracer().span(
-            "core.read",
-            "read_window",
-            TRACK_FLUSH,
-            issued.as_nanos(),
-            done.as_nanos(),
-            &[("pages", pages)],
-        );
-    }
-
-    /// Record one background-flusher batch.
-    pub(crate) fn note_flusher_batch(&self, pages: u64, inflight_hwm: u64) {
-        self.flusher_batches.inc();
-        self.flusher_pages.add(pages);
-        self.flusher_inflight_hwm.set_max(inflight_hwm);
     }
 }
 
