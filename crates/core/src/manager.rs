@@ -653,7 +653,7 @@ impl NoFtl {
     ///
     /// Returns the payloads **in request order** and the maximum
     /// completion across the whole window, or the first failure in
-    /// submission order.
+    /// submission order; no page behind a failure is read.
     pub fn read_windowed(
         &self,
         reads: &[(ObjectId, u64)],
@@ -822,8 +822,10 @@ impl NoFtl {
     /// Execution is eager, so the window is just those completion times.
     ///
     /// Returns the maximum completion over all pages, or the first
-    /// failure in submission order.  An atomic pipeline stops at its
-    /// first failure; every other one carries on past it.
+    /// failure in submission order.  Reads and atomic writes stop at
+    /// their first failure (there is nothing left to commit); a
+    /// non-atomic write carries on past it so every page whose program
+    /// succeeds is committed.
     fn run_window(
         &self,
         dir: Window,
@@ -833,6 +835,7 @@ impl NoFtl {
         mut step: impl FnMut(usize, SimTime) -> Result<SimTime>,
     ) -> Result<SimTime> {
         let window = io.window.max(1);
+        let stop_at_failure = io.atomic || matches!(dir, Window::Read);
         let mut inflight: VecDeque<SimTime> = VecDeque::with_capacity(window.min(pages));
         let (mut clock, mut done) = (at, at);
         let mut first_err: Option<NoFtlError> = None;
@@ -846,7 +849,7 @@ impl NoFtl {
                 Ok(completed) => completed,
                 Err(e) => {
                     first_err.get_or_insert(e);
-                    if io.atomic {
+                    if stop_at_failure {
                         break;
                     }
                     clock
@@ -944,8 +947,8 @@ impl NoFtl {
         at: SimTime,
         tag: IoTag,
     ) -> Result<(CmdHandle, CmdOutput)> {
-        let completion = self.queue.execute_tagged(command, at, tag);
-        Ok((completion.handle, completion.result?))
+        let handle = self.queue.submit_tagged(command, at, tag);
+        Ok((handle, self.queue.wait(handle)?.result?))
     }
 
     /// Commit a successfully programmed page: switch the object's

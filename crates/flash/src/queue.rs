@@ -260,35 +260,6 @@ impl CommandQueue {
     /// `Background`, gap backfill for foreground, exemption for
     /// durability traffic).
     pub fn submit_tagged(&self, command: FlashCommand, at: SimTime, tag: IoTag) -> CmdHandle {
-        self.run(command, at, tag, |inner, completion| {
-            let handle = completion.handle;
-            inner.completions.insert(handle.0, completion);
-            handle
-        })
-    }
-
-    /// Execute one command issued at `at` and hand its completion straight
-    /// back: [`CommandQueue::submit_tagged`] followed by
-    /// [`CommandQueue::wait`], with the same handle, counters and metrics
-    /// but without the round trip through the completion map.  For
-    /// synchronous clients that claim every completion at once.
-    pub fn execute_tagged(&self, command: FlashCommand, at: SimTime, tag: IoTag) -> Completion {
-        self.run(command, at, tag, |inner, completion| {
-            inner.stats.claimed += 1;
-            completion
-        })
-    }
-
-    /// The one execution path of the queue: allocate a handle, execute the
-    /// command on the device, record its metrics, then `finish` the
-    /// completion under the queue lock (post it, or claim it at once).
-    fn run<R>(
-        &self,
-        command: FlashCommand,
-        at: SimTime,
-        tag: IoTag,
-        finish: impl FnOnce(&mut QueueInner, Completion) -> R,
-    ) -> R {
         let die = command.die().0 as usize;
         let kind = command.kind();
         let handle = {
@@ -311,10 +282,11 @@ impl CommandQueue {
             at,
             completion.result.as_ref().ok().map(|out| out.outcome.completed_at),
         );
-        // analyzer:allow(lock_order) two disjoint lock sections: the handle-allocation guard above is dropped before the device executes, then the completion is finished
+        // analyzer:allow(lock_order) two disjoint lock sections: the handle-allocation guard above is dropped before the device executes, then the completion is posted
         let mut inner = self.queue_shard();
         inner.in_flight -= 1;
-        finish(&mut inner, completion)
+        inner.completions.insert(handle.0, completion);
+        handle
     }
 
     /// Submit a batch of commands, all issued at `at`.  Handles come back
@@ -447,27 +419,6 @@ mod tests {
         // Claiming twice fails.
         assert!(matches!(q.wait(h2), Err(FlashError::UnknownHandle { .. })));
         assert_eq!(q.outstanding(), 0);
-    }
-
-    #[test]
-    fn execute_equals_submit_then_wait() {
-        let (posted, direct) = (queue(), queue());
-        let program = |q: &CommandQueue| FlashCommand::Program {
-            addr: paddr(1, 0, 0),
-            data: payload(q, 0x3C),
-            meta: PageMetadata::new(1, 4),
-        };
-        let h = posted.submit_tagged(program(&posted), SimTime::ZERO, IoTag::default());
-        let a = posted.wait(h).unwrap();
-        let b = direct.execute_tagged(program(&direct), SimTime::ZERO, IoTag::default());
-        assert_eq!((a.handle, a.completed_at()), (b.handle, b.completed_at()));
-        let read = FlashCommand::Read { addr: paddr(1, 0, 0) };
-        let h = posted.submit_tagged(read.clone(), a.completed_at(), IoTag::default());
-        let a = posted.wait(h).unwrap().result.unwrap();
-        let b = direct.execute_tagged(read, b.completed_at(), IoTag::default()).result.unwrap();
-        assert_eq!(a, b);
-        assert_eq!(posted.stats(), direct.stats(), "same submitted/claimed accounting");
-        assert_eq!(direct.outstanding(), 0, "nothing is left to claim");
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //!   bound for another region;
 //! * (e) an atomic write stays all-or-nothing when its own allocations
 //!   make GC relocate the pages it has staged;
+//! * (f) a failed windowed read stops at its failure: it has nothing to
+//!   commit, so no page behind the failure is read;
 //!
 //! plus the window's own bookkeeping: its completion is the maximum over
 //! all pages, and its measured in-flight depth never exceeds the window.
@@ -284,6 +286,40 @@ fn a_full_region_mid_batch_still_commits_the_other_regions_pages() {
                 assert!(matches!(got, Err(NoFtlError::PageNotWritten { .. })), "page {i}");
             }
         }
+    }
+}
+
+#[test]
+fn a_failed_windowed_read_issues_nothing_after_the_failing_page() {
+    const N: u64 = 8;
+    const MISSING: u64 = 3;
+    for window in [1, 4, N as usize] {
+        // Pages `0..MISSING` and the ones after the gap are written; the
+        // read of `MISSING` fails before it reaches the device.
+        let setup = || {
+            let (dev, noftl, obj) = stack(4, NoFtlConfig::default());
+            let written: Batch =
+                batch(obj, N).into_iter().filter(|(_, p, _)| *p != MISSING).collect();
+            let at = noftl.write_windowed(&written, SimTime::ZERO, 1).unwrap();
+            (dev, noftl, obj, at)
+        };
+        let (dev, noftl, obj, at) = setup();
+        let reads: Vec<(ObjectId, u64)> = (0..N).map(|p| (obj, p)).collect();
+        let (submitted, _) = queue_counts(&noftl);
+        let err = noftl.read_windowed(&reads, at, window).unwrap_err();
+        assert!(matches!(err, NoFtlError::PageNotWritten { page: MISSING, .. }), "{err}");
+        let (after, _) = queue_counts(&noftl);
+        assert_eq!(after - submitted, MISSING, "window {window}: reads issued");
+
+        // The device and the region account exactly the reads in front
+        // of the failure.
+        let (prefix_dev, prefix, _, at) = setup();
+        prefix.read_windowed(&reads[..MISSING as usize], at, window).unwrap();
+        assert_eq!(
+            outcome(&dev, &noftl, dev.quiesce_time()),
+            outcome(&prefix_dev, &prefix, prefix_dev.quiesce_time()),
+            "window {window}"
+        );
     }
 }
 
