@@ -29,8 +29,9 @@
 //!   once `flush` returns: run pages durable and the directory
 //!   checkpointed.
 //!
-//! [`harness`] drives a put/delete workload into a cut → reboot → mount →
-//! open → verify cycle, the KV analogue of `dbms::crash_harness`.
+//! [`KvWorkload`] is the store's put/delete workload for the fault
+//! harness ([`crate::fault`]), which crashes it through cut → reboot →
+//! mount → open → verify cycles on any device.
 //!
 //! [`NoFtl`]: crate::NoFtl
 //! [`NoFtl::write_batch`]: crate::NoFtl::write_batch
@@ -38,13 +39,11 @@
 //! [`NoFtl::mount`]: crate::NoFtl::mount
 //! [`KvStore::open`]: store::KvStore::open
 
-pub mod harness;
 pub mod memtable;
 pub mod run;
 pub mod store;
+pub mod workload;
 
-pub use harness::{
-    run_kv_crash_cycle, run_kv_crash_cycle_in_compaction, KvCrashConfig, KvCrashOutcome,
-};
 pub use run::RunMeta;
 pub use store::{KvConfig, KvOpenReport, KvStats, KvStore};
+pub use workload::{KvRunReport, KvWorkload};

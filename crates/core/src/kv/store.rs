@@ -1112,8 +1112,7 @@ mod tests {
         t = kv.flush(t).unwrap();
         let runs_before = kv.run_count();
         // Clean reboot: snapshot → new device → mount → open.
-        let snap = device.snapshot();
-        let device2 = Arc::new(NandDevice::from_snapshot(&snap, TimingModel::mlc_2015()).unwrap());
+        let device2 = Arc::new(device.power_cycle(None).unwrap());
         let (noftl2, mount) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
         let (kv2, report) =
             KvStore::open(Arc::new(noftl2), "s", small_config(), mount.completed_at).unwrap();

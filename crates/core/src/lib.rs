@@ -36,7 +36,9 @@
 //!   out-of-place updates (advantage (iv) in the paper's introduction);
 //! * **NoFTL-KV** ([`kv`]) — a log-structured key-value layer whose
 //!   memtable flushes and compactions are region-local queued multi-die
-//!   batches, with crash safety riding the checkpoint/mount path.
+//!   batches, with crash safety riding the checkpoint/mount path;
+//! * **the fault harness** ([`fault`]) — one cut → reboot → mount → reopen
+//!   → verify driver that crashes any workload on any device.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -45,6 +47,7 @@ pub mod atomic;
 pub mod config;
 pub mod ddl;
 pub mod error;
+pub mod fault;
 pub mod gc;
 pub mod hotcold;
 pub mod kv;

@@ -2430,8 +2430,7 @@ mod tests {
     }
 
     fn reboot(noftl: &NoFtl) -> Arc<dyn FlashBackend> {
-        let snap = raw_device(noftl).snapshot();
-        Arc::new(NandDevice::from_snapshot(&snap, TimingModel::mlc_2015()).unwrap())
+        Arc::new(raw_device(noftl).power_cycle(None).unwrap())
     }
 
     #[test]

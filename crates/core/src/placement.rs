@@ -34,7 +34,7 @@ use crate::hotcold::{classify, ObjectProfile, Temperature};
 
 /// Environment variable overriding the default die-level placement policy
 /// (`round_robin` or `queue_aware`).  Read by
-/// [`PlacementPolicyKind::from_env`]; the crash harnesses use it so the
+/// [`PlacementPolicyKind::from_env`]; the fault harness uses it so the
 /// tier-1 crash sweeps can be pointed at either policy without a rebuild.
 pub const PLACEMENT_ENV: &str = "NOFTL_PLACEMENT";
 
@@ -209,7 +209,7 @@ impl PlacementPolicyKind {
 
     /// The kind selected by the [`PLACEMENT_ENV`] environment variable:
     /// `default` when unset, an error when set to an unparseable value.
-    /// Config-load paths that can return an error (the crash harnesses)
+    /// Config-load paths that can return an error (the fault harness)
     /// call this instead of [`PlacementPolicyKind::from_env`].
     pub fn try_from_env(default: Self) -> crate::Result<Self> {
         let value = std::env::var(PLACEMENT_ENV).ok();

@@ -965,7 +965,6 @@ mod tests {
 
     #[test]
     fn clean_restart_recovers_catalog_and_data() {
-        use flash_sim::NandDevice;
         use noftl_core::PlacementConfig;
 
         let device = Arc::new(
@@ -998,8 +997,7 @@ mod tests {
         .unwrap();
 
         // "Reboot": rebuild the device from its snapshot and remount.
-        let snap = device.snapshot();
-        let device2 = Arc::new(NandDevice::from_snapshot(&snap, TimingModel::mlc_2015()).unwrap());
+        let device2 = Arc::new(device.power_cycle(None).unwrap());
         let (noftl2, mount) =
             noftl_core::NoFtl::mount(device2, NoFtlConfig::default(), txn.now).unwrap();
         let backend2 = Arc::new(NoFtlBackend::attach(Arc::new(noftl2), &placement).unwrap());

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use noftl_core::fault::FaultError;
+
 /// Errors surfaced by the storage engine.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DbError {
@@ -40,6 +42,12 @@ pub enum DbError {
         /// Human-readable description.
         message: String,
     },
+    /// The device lost power (a simulated power cut); the stack must be
+    /// rebooted and recovered.
+    PowerLoss {
+        /// Human-readable description.
+        message: String,
+    },
     /// The transaction was aborted (e.g. TPC-C NewOrder with an invalid item).
     Aborted {
         /// Reason for the abort.
@@ -57,6 +65,7 @@ impl fmt::Display for DbError {
             DbError::InvalidRid { message } => write!(f, "invalid record id: {message}"),
             DbError::Corrupted { message } => write!(f, "corrupted data: {message}"),
             DbError::Storage { message } => write!(f, "storage error: {message}"),
+            DbError::PowerLoss { message } => write!(f, "power loss: {message}"),
             DbError::Aborted { reason } => write!(f, "transaction aborted: {reason}"),
         }
     }
@@ -78,7 +87,11 @@ impl DbError {
 
 impl From<noftl_core::NoFtlError> for DbError {
     fn from(e: noftl_core::NoFtlError) -> Self {
-        DbError::storage(e)
+        if e.is_power_loss() {
+            DbError::PowerLoss { message: e.to_string() }
+        } else {
+            DbError::storage(e)
+        }
     }
 }
 
@@ -90,7 +103,17 @@ impl From<ftl_sim::FtlError> for DbError {
 
 impl From<flash_sim::FlashError> for DbError {
     fn from(e: flash_sim::FlashError) -> Self {
-        DbError::storage(e)
+        if e.is_power_loss() {
+            DbError::PowerLoss { message: e.to_string() }
+        } else {
+            DbError::storage(e)
+        }
+    }
+}
+
+impl FaultError for DbError {
+    fn is_power_loss(&self) -> bool {
+        matches!(self, DbError::PowerLoss { .. })
     }
 }
 
@@ -108,5 +131,8 @@ mod tests {
         assert!(e.to_string().contains("device full"));
         let e: DbError = flash_sim::FlashError::oob("addr").into();
         assert!(e.to_string().contains("out of bounds"));
+        assert!(!e.is_power_loss());
+        let cut = flash_sim::FlashError::PowerLoss { at: flash_sim::SimTime(7) };
+        assert!(DbError::from(noftl_core::NoFtlError::Flash(cut)).is_power_loss());
     }
 }

@@ -27,7 +27,6 @@
 pub mod btree;
 pub mod buffer;
 pub mod catalog;
-pub mod crash_harness;
 pub mod db;
 pub mod error;
 pub mod heap;
@@ -37,10 +36,10 @@ pub mod storage;
 pub mod txn;
 pub mod value;
 pub mod wal;
+pub mod workload;
 
 pub use buffer::{BufferPool, BufferStats};
 pub use catalog::{IndexDef, TableDef};
-pub use crash_harness::{run_crash_cycle, CrashHarnessConfig, CrashOutcome};
 pub use db::{Database, DatabaseConfig, RecoveryReport};
 pub use error::DbError;
 pub use heap::RecordId;
@@ -49,6 +48,7 @@ pub use storage::{BlockBackend, NoFtlBackend, ObjectId, StorageBackend};
 pub use txn::Txn;
 pub use value::{Record, Value};
 pub use wal::{Lsn, Wal, WalRecord, WalStats};
+pub use workload::{TableRunReport, TableWorkload};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, DbError>;

@@ -10,8 +10,8 @@
 //!
 //! Device state is sharded by die: every die (planes, blocks, busy clock)
 //! lives behind its own mutex, every channel behind its own, and only a
-//! thin shared section (aggregate statistics, the operation trace) is
-//! device-global.  Concurrent clients operating on different dies
+//! thin shared section (aggregate statistics) is device-global.
+//! Concurrent clients operating on different dies
 //! therefore never contend on a common lock — the host-side analogue of
 //! the die-level parallelism the timing model already exposes.  The lock
 //! hierarchy is fixed (die → channel → shared) so operations that touch a
@@ -37,11 +37,11 @@ use crate::geometry::FlashGeometry;
 use crate::lockorder::{self, LockClass, TrackedGuard};
 use crate::metadata::PageMetadata;
 use crate::obs::{ArbiterObs, DeviceObs};
+use crate::queue::OpKind;
 use crate::sched;
 use crate::stats::{DeviceStats, DieStats, UtilizationSummary, WearSummary};
 use crate::time::{Duration, SimTime};
 use crate::timing::TimingModel;
-use crate::trace::{FlashOp, OpKind, TraceBuffer};
 use crate::Result;
 
 /// Sentinel for "no power cut armed" in the atomic cut register.
@@ -84,7 +84,6 @@ pub struct DeviceBuilder {
     timing: TimingModel,
     bad_blocks: BadBlockPolicy,
     store_data: bool,
-    trace_capacity: usize,
     strict_copyback_plane: bool,
     metrics: Option<Arc<MetricsRegistry>>,
     arbiter: Option<ArbiterConfig>,
@@ -98,7 +97,6 @@ impl DeviceBuilder {
             timing: TimingModel::default(),
             bad_blocks: BadBlockPolicy::none(),
             store_data: true,
-            trace_capacity: 0,
             strict_copyback_plane: false,
             metrics: None,
             arbiter: None,
@@ -121,12 +119,6 @@ impl DeviceBuilder {
     /// for pure performance experiments that never read data back.
     pub fn store_data(mut self, store: bool) -> Self {
         self.store_data = store;
-        self
-    }
-
-    /// Retain a trace of the `cap` most recent operations.
-    pub fn trace_capacity(mut self, cap: usize) -> Self {
-        self.trace_capacity = cap;
         self
     }
 
@@ -195,10 +187,7 @@ impl DeviceBuilder {
             channels: (0..g.channels).map(|_| Mutex::new(Channel::default())).collect(),
             epoch: AtomicU64::new(0),
             power_cut: AtomicU64::new(POWER_CUT_NONE),
-            shared: Mutex::new(Shared {
-                stats: DeviceStats::default(),
-                trace: TraceBuffer::new(self.trace_capacity),
-            }),
+            shared: Mutex::new(DeviceStats::default()),
             touched: (0..g.total_dies()).map(|_| AtomicBool::new(false)).collect(),
             obs: DeviceObs::new(registry, g.total_dies()),
             arbiter,
@@ -218,14 +207,6 @@ struct ArbiterSlot {
     config: ArbiterConfig,
     state: Mutex<ArbiterState>,
     obs: ArbiterObs,
-}
-
-/// Device-global state that every operation may touch: aggregate counters
-/// and the optional operation trace.  Kept deliberately small so that the
-/// hot path holds this lock only for a few counter bumps.
-struct Shared {
-    stats: DeviceStats,
-    trace: TraceBuffer,
 }
 
 /// A complete image of the device state, used both as a read-only summary
@@ -281,8 +262,9 @@ pub struct NandDevice {
     /// or after it fail with `FlashError::PowerLoss`, and an operation
     /// still in flight at that instant is torn.
     power_cut: AtomicU64,
-    /// Aggregate statistics and trace (thin shared section).
-    shared: Mutex<Shared>,
+    /// Aggregate statistics: the device-global shared section, kept to a
+    /// few counter bumps per operation.
+    shared: Mutex<DeviceStats>,
     /// Per-die "ever programmed/erased" flags (lock-free), kept so
     /// `NoFtl::mount` can skip the OOB scan of dies that never held data.
     touched: Vec<AtomicBool>,
@@ -327,7 +309,7 @@ impl NandDevice {
 
     /// Record a failed operation in the aggregate statistics.
     fn note_error(&self) {
-        self.shared_shard().stats.errors += 1;
+        self.shared_shard().errors += 1;
     }
 
     /// Fail if the device has already lost power at `at`.
@@ -370,10 +352,10 @@ impl NandDevice {
         lockorder::lock_tracked(LockClass::Channel(ch), &self.channels[ch as usize])
     }
 
-    /// Lock the device-global shared section (stats + trace).  This is
+    /// Lock the device-global shared section (aggregate stats).  This is
     /// the sole acquisition site of the shared shard and the last lock in
     /// the documented order.
-    fn shared_shard(&self) -> TrackedGuard<'_, Shared> {
+    fn shared_shard(&self) -> TrackedGuard<'_, DeviceStats> {
         lockorder::lock_tracked(LockClass::Shared, &self.shared)
     }
 
@@ -512,18 +494,10 @@ impl NandDevice {
         let meta = block.meta[addr.page as usize];
         self.obs.note_op(OpKind::Read, addr.die, &sched, at, die.busy_time.as_nanos());
         let mut shared = self.shared_shard();
-        shared.stats.page_reads += 1;
-        shared.stats.bytes_transferred += self.geometry.page_size as u64;
-        shared.stats.read_latency_sum += sched.complete - at;
-        shared.stats.queue_depth_hwm = shared.stats.queue_depth_hwm.max(sched.depth as u64);
-        shared.trace.record(FlashOp {
-            kind: OpKind::Read,
-            addr,
-            issued_at: at,
-            completed_at: sched.complete,
-            latency: sched.latency(at),
-            queue_depth: sched.depth,
-        });
+        shared.page_reads += 1;
+        shared.bytes_transferred += self.geometry.page_size as u64;
+        shared.read_latency_sum += sched.complete - at;
+        shared.queue_depth_hwm = shared.queue_depth_hwm.max(sched.depth as u64);
         Ok((data, meta, OpOutcome { started_at: sched.start, completed_at: sched.complete }))
     }
 
@@ -580,17 +554,9 @@ impl NandDevice {
             die.planes[addr.plane as usize].blocks[addr.block as usize].meta[addr.page as usize];
         self.obs.note_op(OpKind::MetadataRead, addr.die, &sched, at, die.busy_time.as_nanos());
         let mut shared = self.shared_shard();
-        shared.stats.metadata_reads += 1;
-        shared.stats.bytes_transferred += self.geometry.oob_size as u64;
-        shared.stats.queue_depth_hwm = shared.stats.queue_depth_hwm.max(sched.depth as u64);
-        shared.trace.record(FlashOp {
-            kind: OpKind::MetadataRead,
-            addr,
-            issued_at: at,
-            completed_at: sched.complete,
-            latency: sched.latency(at),
-            queue_depth: sched.depth,
-        });
+        shared.metadata_reads += 1;
+        shared.bytes_transferred += self.geometry.oob_size as u64;
+        shared.queue_depth_hwm = shared.queue_depth_hwm.max(sched.depth as u64);
         Ok((meta, OpOutcome { started_at: sched.start, completed_at: sched.complete }))
     }
 
@@ -776,18 +742,10 @@ impl NandDevice {
             if block.write_ptr == pages_per_block { BlockState::Full } else { BlockState::Open };
         self.obs.note_op(OpKind::Program, addr.die, &sched, at, die.busy_time.as_nanos());
         let mut shared = self.shared_shard();
-        shared.stats.page_programs += 1;
-        shared.stats.bytes_transferred += self.geometry.page_size as u64;
-        shared.stats.program_latency_sum += sched.complete - at;
-        shared.stats.queue_depth_hwm = shared.stats.queue_depth_hwm.max(sched.depth as u64);
-        shared.trace.record(FlashOp {
-            kind: OpKind::Program,
-            addr,
-            issued_at: at,
-            completed_at: sched.complete,
-            latency: sched.latency(at),
-            queue_depth: sched.depth,
-        });
+        shared.page_programs += 1;
+        shared.bytes_transferred += self.geometry.page_size as u64;
+        shared.program_latency_sum += sched.complete - at;
+        shared.queue_depth_hwm = shared.queue_depth_hwm.max(sched.depth as u64);
         Ok(OpOutcome { started_at: sched.start, completed_at: sched.complete })
     }
 
@@ -838,17 +796,9 @@ impl NandDevice {
         block.erase_count += 1;
         self.obs.note_op(OpKind::Erase, addr.die, &sched, at, die.busy_time.as_nanos());
         let mut shared = self.shared_shard();
-        shared.stats.block_erases += 1;
-        shared.stats.erase_latency_sum += sched.complete - at;
-        shared.stats.queue_depth_hwm = shared.stats.queue_depth_hwm.max(sched.depth as u64);
-        shared.trace.record(FlashOp {
-            kind: OpKind::Erase,
-            addr: addr.page(0),
-            issued_at: at,
-            completed_at: sched.complete,
-            latency: sched.latency(at),
-            queue_depth: sched.depth,
-        });
+        shared.block_erases += 1;
+        shared.erase_latency_sum += sched.complete - at;
+        shared.queue_depth_hwm = shared.queue_depth_hwm.max(sched.depth as u64);
         Ok(OpOutcome { started_at: sched.start, completed_at: sched.complete })
     }
 
@@ -970,17 +920,9 @@ impl NandDevice {
         }
         self.obs.note_op(OpKind::Copyback, src.die, &sched, at, die.busy_time.as_nanos());
         let mut shared = self.shared_shard();
-        shared.stats.copybacks += 1;
-        shared.stats.copyback_latency_sum += sched.complete - at;
-        shared.stats.queue_depth_hwm = shared.stats.queue_depth_hwm.max(sched.depth as u64);
-        shared.trace.record(FlashOp {
-            kind: OpKind::Copyback,
-            addr: dst,
-            issued_at: at,
-            completed_at: sched.complete,
-            latency: sched.latency(at),
-            queue_depth: sched.depth,
-        });
+        shared.copybacks += 1;
+        shared.copyback_latency_sum += sched.complete - at;
+        shared.queue_depth_hwm = shared.queue_depth_hwm.max(sched.depth as u64);
         Ok(OpOutcome { started_at: sched.start, completed_at: sched.complete })
     }
 
@@ -1030,7 +972,7 @@ impl NandDevice {
 
     /// Aggregate device statistics.
     pub fn stats(&self) -> DeviceStats {
-        self.shared_shard().stats.clone()
+        self.shared_shard().clone()
     }
 
     /// Latest completion time over all dies and channels — i.e. when the
@@ -1210,7 +1152,7 @@ impl NandDevice {
         let dies = self.lock_all_dies();
         let shared = self.shared_shard();
         DeviceSnapshot {
-            stats: shared.stats.clone(),
+            stats: shared.clone(),
             die_stats: dies.iter().map(|d| Self::die_stats_from(d)).collect(),
             wear: Self::wear_summary_from(&dies),
             geometry: self.geometry,
@@ -1298,16 +1240,27 @@ impl NandDevice {
             channels: (0..g.channels).map(|_| Mutex::new(Channel::default())).collect(),
             epoch: AtomicU64::new(snap.epoch),
             power_cut: AtomicU64::new(POWER_CUT_NONE),
-            shared: Mutex::new(Shared { stats: snap.stats.clone(), trace: TraceBuffer::new(0) }),
+            shared: Mutex::new(snap.stats.clone()),
             touched,
             obs: DeviceObs::new(Arc::new(MetricsRegistry::new()), g.total_dies()),
             arbiter: None,
         })
     }
 
-    /// Retained operation trace (oldest first); empty when tracing is off.
-    pub fn trace(&self) -> Vec<FlashOp> {
-        self.shared_shard().trace.ops().copied().collect()
+    /// Power-cycle the device: capture its (possibly torn) state and boot
+    /// a fresh device from it with the same timing model.  With `image`,
+    /// the snapshot round-trips through that file-backed image first (the
+    /// "pull the SSD, image it, boot the image" path); the file is removed
+    /// afterwards.
+    pub fn power_cycle(&self, image: Option<&std::path::Path>) -> Result<NandDevice> {
+        let mut snap = self.snapshot();
+        if let Some(path) = image {
+            snap.save(path)?;
+            let loaded = DeviceSnapshot::load(path);
+            std::fs::remove_file(path).ok();
+            snap = loaded?;
+        }
+        NandDevice::from_snapshot(&snap, self.timing)
     }
 }
 
@@ -1593,22 +1546,6 @@ mod tests {
             .program_page(page(0, 0, 0), &[1, 2, 3], PageMetadata::new(1, 0), SimTime::ZERO)
             .unwrap_err();
         assert!(matches!(err, FlashError::BadPageSize { .. }));
-    }
-
-    #[test]
-    fn trace_records_operations_when_enabled() {
-        let d = DeviceBuilder::new(FlashGeometry::small_test()).trace_capacity(10).build();
-        d.program_page(page(0, 0, 0), &[], PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
-        d.read_page(page(0, 0, 0), SimTime::ZERO).unwrap();
-        let trace = d.trace();
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace[0].kind, OpKind::Program);
-        assert_eq!(trace[1].kind, OpKind::Read);
-        // Trace entries carry end-to-end latency and the die queue depth.
-        assert_eq!(trace[0].latency, trace[0].completed_at - trace[0].issued_at);
-        assert_eq!(trace[0].queue_depth, 1);
-        assert_eq!(trace[1].queue_depth, 2, "read issued at t=0 queues behind the program");
-        assert!(trace[1].latency > trace[0].latency);
     }
 
     #[test]

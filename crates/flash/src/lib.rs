@@ -74,7 +74,6 @@ pub mod sched;
 pub mod stats;
 pub mod time;
 pub mod timing;
-pub mod trace;
 
 pub use addr::{BlockAddr, DieId, PageAddr, PlaneAddr};
 pub use arbiter::{ArbiterConfig, IoTag, ServiceClass};
@@ -88,11 +87,10 @@ pub use fault::DeviceLossInjector;
 pub use geometry::FlashGeometry;
 pub use lockorder::{LockClass, TrackedGuard};
 pub use metadata::PageMetadata;
-pub use queue::{CmdHandle, CmdOutput, CommandQueue, Completion, FlashCommand, QueueStats};
+pub use queue::{CmdHandle, CmdOutput, CommandQueue, Completion, FlashCommand, OpKind, QueueStats};
 pub use stats::{DeviceStats, DieStats, UtilizationSummary, WearSummary};
 pub use time::{Duration, SimTime};
 pub use timing::TimingModel;
-pub use trace::{FlashOp, OpKind, TraceBuffer};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, FlashError>;

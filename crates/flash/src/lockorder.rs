@@ -64,7 +64,7 @@ pub enum LockClass {
     Die(u32),
     /// A per-channel device shard, ordered by channel id.
     Channel(u32),
-    /// The device's thin shared section (aggregate stats + trace).
+    /// The device's thin shared section (aggregate stats).
     Shared,
 }
 

@@ -15,7 +15,7 @@
 //! The simulator is discrete-time: a command's array/channel occupancy is
 //! computed eagerly at submission, so `submit` is where the per-die queue
 //! of the timing model grows (visible as the queue-depth fields in
-//! [`DeviceStats`](crate::DeviceStats) and the trace).  Completion
+//! [`DeviceStats`](crate::DeviceStats) and the metrics).  Completion
 //! retrieval never blocks; `wait` is named for its role in the protocol,
 //! not for thread parking.
 //!
@@ -40,6 +40,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
 
 use crate::addr::{BlockAddr, PageAddr};
 use crate::arbiter::IoTag;
@@ -50,8 +51,23 @@ use crate::lockorder::{self, LockClass, TrackedGuard};
 use crate::metadata::PageMetadata;
 use crate::obs::QueueObs;
 use crate::time::SimTime;
-use crate::trace::OpKind;
 use crate::Result;
+
+/// Kind of a flash command, as counted per die and per class by the
+/// device's metrics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum OpKind {
+    /// Page read (array read + channel transfer out).
+    Read,
+    /// Page program (channel transfer in + array program).
+    Program,
+    /// Block erase.
+    Erase,
+    /// Die-internal copyback.
+    Copyback,
+    /// OOB metadata read.
+    MetadataRead,
+}
 
 /// One command of the device's native interface, in submission form.
 #[derive(Debug, Clone)]
@@ -103,7 +119,7 @@ impl FlashCommand {
         }
     }
 
-    /// The trace kind this command maps to.
+    /// The kind this command maps to.
     pub fn kind(&self) -> OpKind {
         match self {
             FlashCommand::Read { .. } => OpKind::Read,

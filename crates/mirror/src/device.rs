@@ -39,6 +39,7 @@
 
 use std::any::Any;
 use std::collections::HashSet;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -225,6 +226,22 @@ impl MirrorDevice {
             })
             .collect();
         let injector = Arc::new(DeviceLossInjector::new(replicas));
+        MirrorDevice::new(children, injector)
+    }
+
+    /// Power-cycle the box: reboot every child ([`NandDevice::power_cycle`],
+    /// child `i` through the image `image.i`) behind a fresh loss injector
+    /// that keeps `absent` lost.
+    pub fn power_cycle(&self, image: Option<&Path>, absent: Option<usize>) -> Result<MirrorDevice> {
+        let mut children = Vec::with_capacity(self.children.len());
+        for (i, child) in self.children.iter().enumerate() {
+            let path = image.map(|p| p.with_extension(i.to_string()));
+            children.push(Arc::new(child.power_cycle(path.as_deref())?));
+        }
+        let injector = Arc::new(DeviceLossInjector::new(children.len()));
+        if let Some(child) = absent {
+            injector.arm(child, SimTime::ZERO);
+        }
         MirrorDevice::new(children, injector)
     }
 

@@ -6,7 +6,8 @@
 
 use std::sync::Arc;
 
-use flash_sim::{DeviceLossInjector, FlashGeometry, NandDevice, SimTime, TimingModel};
+use flash_sim::{FlashGeometry, SimTime, TimingModel};
+use noftl_core::fault::SplitMix64;
 use noftl_core::{NoFtl, NoFtlConfig};
 use noftl_mirror::{ChildHealth, MirrorDevice};
 
@@ -14,18 +15,6 @@ fn fresh_mirror() -> Arc<MirrorDevice> {
     Arc::new(
         MirrorDevice::new_fresh(2, FlashGeometry::small_test(), TimingModel::default()).unwrap(),
     )
-}
-
-/// Snapshot every child and reassemble the mirror — the simulator's
-/// equivalent of power-cycling a box with two flash devices in it.
-fn reboot(mirror: &MirrorDevice) -> Arc<MirrorDevice> {
-    let children: Vec<Arc<NandDevice>> = mirror
-        .children()
-        .iter()
-        .map(|c| Arc::new(NandDevice::from_snapshot(&c.snapshot(), *c.timing()).unwrap()))
-        .collect();
-    let injector = Arc::new(DeviceLossInjector::new(children.len()));
-    Arc::new(MirrorDevice::new(children, injector).unwrap())
 }
 
 #[test]
@@ -54,7 +43,7 @@ fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirt
     );
 
     // Reboot and remount through the standard path.
-    let mirror2 = reboot(&mirror);
+    let mirror2 = Arc::new(mirror.power_cycle(None, None).unwrap());
     let (noftl2, report) = NoFtl::mount(mirror2.clone(), NoFtlConfig::default(), t).unwrap();
     assert!(report.checkpoint_seq >= 2);
     t = report.completed_at;
@@ -87,7 +76,7 @@ fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirt
     t = report.completed_at;
 
     t = noftl2.checkpoint(t).unwrap();
-    let mirror3 = reboot(&mirror2);
+    let mirror3 = Arc::new(mirror2.power_cycle(None, None).unwrap());
     let (noftl3, report) = NoFtl::mount(mirror3.clone(), NoFtlConfig::default(), t).unwrap();
     // …which the verify scan confirms: a clean roundtrip mounts fully
     // online with nothing left to copy.
@@ -111,14 +100,7 @@ fn mount_with_child_still_missing_serves_degraded_and_rebuilds_later() {
 
     // Reboot with the child still absent: restore cannot verify it and
     // must fail safe ("assume everything stale"), yet the mount serves.
-    let children: Vec<Arc<NandDevice>> = mirror
-        .children()
-        .iter()
-        .map(|c| Arc::new(NandDevice::from_snapshot(&c.snapshot(), *c.timing()).unwrap()))
-        .collect();
-    let injector = Arc::new(DeviceLossInjector::new(children.len()));
-    injector.arm(1, SimTime::ZERO);
-    let mirror2 = Arc::new(MirrorDevice::new(children, injector).unwrap());
+    let mirror2 = Arc::new(mirror.power_cycle(None, Some(1)).unwrap());
     let (noftl2, report) = NoFtl::mount(mirror2.clone(), NoFtlConfig::default(), t).unwrap();
     t = report.completed_at;
     assert_eq!(mirror2.health(1), ChildHealth::Faulted);
@@ -133,35 +115,6 @@ fn mount_with_child_still_missing_serves_degraded_and_rebuilds_later() {
     let report = mirror2.rebuild(1, 8, t).unwrap();
     assert!(report.child_online);
     assert!(mirror2.fully_online());
-}
-
-#[test]
-fn power_cut_during_mount_recovers_on_retry() {
-    let mirror = fresh_mirror();
-    let (noftl, _rid) = NoFtl::with_single_region(mirror.clone(), NoFtlConfig::default());
-    let obj = noftl.create_object_in("t", "rgAll").unwrap();
-    let mut t = SimTime::ZERO;
-    for p in 0..10u64 {
-        t = noftl.write(obj, p, &vec![p as u8 + 3; 4096], t).unwrap();
-    }
-    t = noftl.checkpoint(t).unwrap();
-
-    let mirror2 = reboot(&mirror);
-    // Cut power again while the mount itself is scanning the device.
-    for child in mirror2.children() {
-        child.arm_power_cut(SimTime(t.as_nanos() + 50_000));
-    }
-    let err = NoFtl::mount(mirror2.clone(), NoFtlConfig::default(), t).unwrap_err();
-    assert!(format!("{err}").contains("power"), "mount failed for the wrong reason: {err}");
-
-    // Power returns: the same devices mount cleanly with all data.
-    for child in mirror2.children() {
-        child.clear_power_cut();
-    }
-    let (noftl2, report) = NoFtl::mount(mirror2, NoFtlConfig::default(), t).unwrap();
-    for p in 0..10u64 {
-        assert_eq!(noftl2.read(obj, p, report.completed_at).unwrap().0, vec![p as u8 + 3; 4096]);
-    }
 }
 
 mod props {
@@ -183,21 +136,17 @@ mod props {
             let obj = noftl.create_object_in("t", "rgAll").unwrap();
             let mut t = SimTime::ZERO;
             let mut expected = std::collections::HashMap::new();
-            let mut x = seed | 1;
-            let mut rand = move || {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                x >> 33
-            };
+            let mut rng = SplitMix64(seed);
             for i in 0..8u64 {
-                t = noftl.write(obj, i, &vec![(rand() % 251) as u8; 4096], t).unwrap();
+                t = noftl.write(obj, i, &vec![rng.below(251) as u8; 4096], t).unwrap();
                 expected.insert(i, noftl.read(obj, i, t).unwrap().0);
             }
             t = noftl.checkpoint(t).unwrap();
             mirror.injector().arm(1, t);
             t = SimTime(t.as_nanos() + 1_000);
             for _ in 0..degraded_writes {
-                let page = rand() % 8;
-                let val = vec![(rand() % 251) as u8; 4096];
+                let page = rng.below(8);
+                let val = vec![rng.below(251) as u8; 4096];
                 t = noftl.write(obj, page, &val, t).unwrap();
                 expected.insert(page, val);
             }
@@ -207,7 +156,7 @@ mod props {
             if seed.is_multiple_of(2) {
                 t = noftl.checkpoint(t).unwrap();
             }
-            let mirror2 = reboot(&mirror);
+            let mirror2 = Arc::new(mirror.power_cycle(None, None).unwrap());
             let (noftl2, report) =
                 NoFtl::mount(mirror2.clone(), NoFtlConfig::default(), t).unwrap();
             t = report.completed_at;

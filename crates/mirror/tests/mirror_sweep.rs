@@ -20,26 +20,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use flash_sim::{DeviceLossInjector, FlashError, FlashGeometry, NandDevice, SimTime, TimingModel};
+use flash_sim::{FlashError, FlashGeometry, SimTime, TimingModel};
 use noftl_core::{NoFtl, NoFtlConfig};
 use noftl_mirror::{ChildHealth, MirrorDevice};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const CYCLES: u64 = 25;
 const PAGES: u64 = 24;
-
-fn reboot(mirror: &MirrorDevice, lost: Option<usize>) -> Arc<MirrorDevice> {
-    let children: Vec<Arc<NandDevice>> = mirror
-        .children()
-        .iter()
-        .map(|c| Arc::new(NandDevice::from_snapshot(&c.snapshot(), *c.timing()).unwrap()))
-        .collect();
-    let injector = Arc::new(DeviceLossInjector::new(children.len()));
-    if let Some(child) = lost {
-        injector.arm(child, SimTime::ZERO);
-    }
-    Arc::new(MirrorDevice::new(children, injector).unwrap())
-}
 
 #[test]
 fn randomized_loss_and_crash_sweep_loses_no_acknowledged_write() {
@@ -149,7 +136,8 @@ fn randomized_loss_and_crash_sweep_loses_no_acknowledged_write() {
         // sometimes power dies again during the mount itself.
         let still_absent =
             mirror.health(lost_child) == ChildHealth::Faulted && rng.random_range(0..100) < 30;
-        let mirror2 = reboot(&mirror, still_absent.then_some(lost_child));
+        let mirror2 =
+            Arc::new(mirror.power_cycle(None, still_absent.then_some(lost_child)).unwrap());
         if still_absent {
             absent_boots += 1;
         }

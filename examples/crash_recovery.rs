@@ -6,28 +6,28 @@
 //! cargo run --example crash_recovery
 //! ```
 
-use noftl_regions::dbms::crash_harness::{run_crash_cycle, CrashHarnessConfig};
+use noftl_regions::dbms::TableWorkload;
+use noftl_regions::noftl::fault::{nand, run_cycle, Cut, FaultConfig};
 
 fn main() {
-    // The harness drives a mixed insert/update/delete workload over an
-    // indexed table, with checkpoints and WAL truncations firing along
-    // the way.  `fraction` places the power cut within the workload's
-    // simulated time span.
+    // The fault harness drives a mixed insert/update/delete workload over
+    // an indexed table, with checkpoints and WAL truncations firing along
+    // the way.  `Cut::Fraction` places the power cut within the
+    // workload's simulated time span.
+    let workload = TableWorkload { txns: 120, ..TableWorkload::default() };
+    // Persist the torn device to a file and boot the image.
+    let cfg = FaultConfig { image_file: true, ..FaultConfig::default() };
     for fraction in [0.25, 0.5, 0.85] {
-        let cfg = CrashHarnessConfig {
-            txns: 120,
-            image_file: true, // persist the torn device to a file and boot the image
-            ..CrashHarnessConfig::default()
-        };
-        let outcome = run_crash_cycle(&cfg, fraction).expect("recovery verifies");
+        let outcome =
+            run_cycle(&workload, &cfg, Cut::Fraction(fraction), nand).expect("recovery verifies");
         println!(
             "cut at {:>12} ns ({}):",
             outcome.cut_at.as_nanos(),
-            if outcome.cut_during_commit { "during a commit" } else { "between commits" },
+            if outcome.in_flight { "during a commit" } else { "between commits" },
         );
         println!(
             "  before: {} committed txns, WAL {} pages",
-            outcome.committed_txns, outcome.wal_pages_at_crash
+            outcome.run.committed_txns, outcome.run.wal_pages_at_crash
         );
         println!(
             "  mount : checkpoint #{}, {} pages scanned, {} torn discarded, {} remapped from OOB",
@@ -38,13 +38,13 @@ fn main() {
         );
         println!(
             "  redo  : {} records scanned, {} committed txns, {} page images replayed",
-            outcome.recovery.wal_records_scanned,
-            outcome.recovery.committed_txns,
-            outcome.recovery.redo_pages_applied,
+            outcome.reopen.wal_records_scanned,
+            outcome.reopen.committed_txns,
+            outcome.reopen.redo_pages_applied,
         );
         println!(
             "  verify: {} rows intact{}\n",
-            outcome.rows_verified,
+            outcome.verified_keys,
             if outcome.in_flight_survived { " (in-flight commit survived whole)" } else { "" },
         );
     }

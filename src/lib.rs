@@ -19,8 +19,9 @@
 //! * [`obs`] — the cross-layer observability layer: metrics registry,
 //!   latency histograms and the event tracer (`noftl-obs`).
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory and
-//! `EXPERIMENTS.md` for the paper-vs-measured comparison.
+//! See `README.md` for a tour of the system and its experiments; the
+//! paper-vs-measured Figure-3 comparison (regions vs. traditional TPC-C
+//! throughput) is printed by `python3 perfbench/run.py --figure3`.
 
 #![warn(missing_docs)]
 

@@ -16,25 +16,25 @@
 
 mod common;
 
-use common::{property_rounds, splitmix};
-use noftl_regions::dbms::crash_harness::{run_crash_cycle, CrashHarnessConfig};
-use noftl_regions::dbms::{Database, DatabaseConfig, NoFtlBackend};
+use common::property_rounds;
+use noftl_regions::dbms::TableWorkload;
 use noftl_regions::flash::{
     DeviceBuilder, DeviceSnapshot, FlashGeometry, NandDevice, SimTime, TimingModel,
 };
-use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementConfig, PlacementPolicyKind};
+use noftl_regions::noftl::fault::{nand, run_cycle, Cut, FaultConfig, SplitMix64};
+use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementPolicyKind};
 use std::sync::Arc;
 
 #[test]
 fn fifty_random_power_cuts_recover_committed_data_only() {
     let rounds = property_rounds(50);
-    let mut rng = 0xDEAD_BEEFu64;
+    let workload = TableWorkload { txns: 80, ..TableWorkload::default() };
+    let mut rng = SplitMix64(0xDEAD_BEEF);
     let mut committed_total = 0u64;
     let mut in_flight_survivals = 0u64;
     let mut torn_discards = 0u64;
     for round in 0..rounds {
-        let cfg = CrashHarnessConfig {
-            txns: 80,
+        let cfg = FaultConfig {
             // Vary the workload itself every few rounds so the cuts do not
             // all land in identical histories.
             seed: 0xC0FFEE ^ (round / 5),
@@ -45,20 +45,20 @@ fn fifty_random_power_cuts_recover_committed_data_only() {
             placement: if round % 2 == 1 {
                 PlacementPolicyKind::QueueAware
             } else {
-                CrashHarnessConfig::default().placement
+                FaultConfig::default().placement
             },
-            ..CrashHarnessConfig::default()
+            ..FaultConfig::default()
         };
-        let fraction = (splitmix(&mut rng) % 1_000) as f64 / 1_000.0;
-        let outcome = run_crash_cycle(&cfg, fraction)
+        let fraction = rng.fraction();
+        let outcome = run_cycle(&workload, &cfg, Cut::Fraction(fraction), nand)
             .unwrap_or_else(|e| panic!("round {round} (fraction {fraction:.3}) failed: {e}"));
-        committed_total += outcome.committed_txns;
+        committed_total += outcome.run.committed_txns;
         in_flight_survivals += u64::from(outcome.in_flight_survived);
         torn_discards += outcome.mount.torn_pages_discarded;
         // The mount always replays a checkpoint (setup takes one) and the
         // recovered table view is bounded by the key universe.
         assert!(outcome.mount.checkpoint_seq > 0, "round {round}");
-        assert!(outcome.rows_verified <= 32, "round {round}");
+        assert!(outcome.verified_keys <= 32, "round {round}");
     }
     // Across the cuts the workload must have made real progress…
     assert!(
@@ -78,11 +78,13 @@ fn fifty_random_power_cuts_recover_committed_data_only() {
 fn device_image_file_roundtrip_reboots_the_full_stack() {
     // One cycle with the snapshot persisted to a file-backed image (the
     // "pull the SSD, image it, boot the image" path).
-    let cfg = CrashHarnessConfig { txns: 60, image_file: true, ..CrashHarnessConfig::default() };
-    let outcome = run_crash_cycle(&cfg, 0.42).expect("file-backed reboot cycle");
-    assert!(outcome.committed_txns > 0);
-    assert_eq!(outcome.recovery.tables_recovered, 1);
-    assert_eq!(outcome.recovery.indexes_recovered, 1);
+    let workload = TableWorkload { txns: 60, ..TableWorkload::default() };
+    let cfg = FaultConfig { image_file: true, ..FaultConfig::default() };
+    let outcome =
+        run_cycle(&workload, &cfg, Cut::Fraction(0.42), nand).expect("file-backed reboot cycle");
+    assert!(outcome.run.committed_txns > 0);
+    assert_eq!(outcome.reopen.tables_recovered, 1);
+    assert_eq!(outcome.reopen.indexes_recovered, 1);
 }
 
 #[test]
@@ -117,49 +119,17 @@ fn snapshot_restore_preserves_wear_and_bad_blocks() {
 #[test]
 fn recovery_reports_scale_with_wal_length() {
     // Longer WAL tails require more redo work — the relationship the
-    // criterion bench (`benches/recovery.rs`) measures.
-    let device = Arc::new(
-        DeviceBuilder::new(FlashGeometry::example()).timing(TimingModel::mlc_2015()).build(),
-    );
-    let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
-    let placement = PlacementConfig::traditional(8, ["t".to_string()]);
-    let backend = Arc::new(NoFtlBackend::new(Arc::clone(&noftl), &placement).unwrap());
-    let config = DatabaseConfig {
-        buffer_pages: 256,
-        redo_logging: true,
-        wal_segment_pages: 100_000, // no truncation: the tail only grows
-        ..DatabaseConfig::default()
-    };
-    let db = Database::open(backend, config).unwrap();
-    db.create_table(
-        "t",
-        noftl_regions::dbms::Schema::new(vec![
-            ("k", noftl_regions::dbms::ColumnType::Int),
-            ("v", noftl_regions::dbms::ColumnType::Int),
-        ]),
-        SimTime::ZERO,
-    )
-    .unwrap();
-    let mut t = db.checkpoint(SimTime::ZERO).unwrap();
-    let mut redo_applied = Vec::new();
-    for chunk in 0..3 {
-        for i in 0..20i64 {
-            let mut txn = db.begin(t);
-            use noftl_regions::dbms::Value;
-            db.insert(&mut txn, "t", &vec![Value::Int(chunk * 20 + i), Value::Int(0)], &[])
-                .unwrap();
-            db.commit(&mut txn).unwrap();
-            t = txn.now;
-        }
-        // Reboot + recover after each chunk; the WAL tail has grown, so
-        // redo replays more images.
-        let snap = device.snapshot();
-        let device2 = Arc::new(NandDevice::from_snapshot(&snap, TimingModel::mlc_2015()).unwrap());
-        let (noftl2, mount) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
-        let backend2 = Arc::new(NoFtlBackend::attach(Arc::new(noftl2), &placement).unwrap());
-        let (_db2, report) = Database::recover(backend2, config, mount.completed_at).unwrap();
-        redo_applied.push(report.redo_pages_applied);
-    }
+    // criterion bench (`benches/recovery.rs`) measures.  A segment budget
+    // the run never reaches means no truncation: the tail only grows.
+    let redo_applied: Vec<u64> = [20, 40, 60]
+        .into_iter()
+        .map(|txns| {
+            let workload = TableWorkload { txns, wal_segment_pages: 100_000, ..Default::default() };
+            let outcome = run_cycle(&workload, &FaultConfig::default(), Cut::Fraction(0.99), nand)
+                .expect("cycle recovers");
+            outcome.reopen.redo_pages_applied
+        })
+        .collect();
     assert!(
         redo_applied[0] < redo_applied[1] && redo_applied[1] < redo_applied[2],
         "redo work must grow with WAL length: {redo_applied:?}"

@@ -21,27 +21,34 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{property_rounds, splitmix};
+use common::property_rounds;
 use noftl_regions::flash::{DeviceBuilder, FlashGeometry, SimTime, TimingModel};
-use noftl_regions::noftl::kv::{
-    run_kv_crash_cycle, run_kv_crash_cycle_in_compaction, KvConfig, KvCrashConfig, KvStore,
-};
+use noftl_regions::noftl::fault::{nand, run_cycle, Cut, FaultConfig, SplitMix64};
+use noftl_regions::noftl::kv::{KvConfig, KvStore, KvWorkload};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementPolicyKind, RegionSpec};
+
+/// The KV sweeps' default workload seed.
+const SEED: u64 = 0x5EED_4B56;
+
+fn faults() -> FaultConfig {
+    FaultConfig { seed: SEED, ..FaultConfig::default() }
+}
 
 #[test]
 fn random_power_cuts_recover_every_committed_key() {
     let rounds = property_rounds(30).max(25); // the acceptance floor
-    let mut rng = 0x4B56_C0DEu64;
+    let workload = KvWorkload::default();
+    let mut rng = SplitMix64(0x4B56_C0DE);
     let mut flushes_total = 0u64;
     let mut committed_total = 0u64;
     let mut torn_total = 0u64;
     let mut compaction_cuts = 0u64;
     let mut in_flight_survivals = 0u64;
     for round in 0..rounds {
-        let cfg = KvCrashConfig {
+        let cfg = FaultConfig {
             // Vary the workload itself every few rounds so the cuts do
             // not all land in identical histories.
-            seed: 0x5EED_4B56 ^ (round / 5),
+            seed: SEED ^ (round / 5),
             // Alternate the placement policy so both RoundRobin and
             // QueueAware are covered by the tier-1 sweep (odd rounds force
             // QueueAware; even rounds keep the default, which honours the
@@ -49,28 +56,23 @@ fn random_power_cuts_recover_every_committed_key() {
             placement: if round % 2 == 1 {
                 PlacementPolicyKind::QueueAware
             } else {
-                KvCrashConfig::default().placement
+                FaultConfig::default().placement
             },
-            ..KvCrashConfig::default()
+            ..faults()
         };
-        let fraction = (splitmix(&mut rng) % 1_000) as f64 / 1_000.0;
+        let fraction = rng.fraction();
         // Every fifth round aims the cut inside a compaction merge so
         // the crash-during-compaction path is guaranteed coverage.
-        let outcome = if round % 5 == 4 {
-            run_kv_crash_cycle_in_compaction(&cfg, fraction)
-                .unwrap_or_else(|e| panic!("round {round} (compaction-aimed) failed: {e}"))
-                .expect("the default workload compacts")
-        } else {
-            run_kv_crash_cycle(&cfg, fraction)
-                .unwrap_or_else(|e| panic!("round {round} (fraction {fraction:.3}) failed: {e}"))
-        };
-        flushes_total += outcome.flushes_acknowledged;
-        committed_total += outcome.committed_keys;
-        torn_total += outcome.open.torn_runs_discarded as u64;
-        compaction_cuts += u64::from(outcome.cut_during_compaction);
-        in_flight_survivals += u64::from(outcome.in_flight_flush_survived);
+        let cut = if round % 5 == 4 { Cut::InWindow(fraction) } else { Cut::Fraction(fraction) };
+        let outcome = run_cycle(&workload, &cfg, cut, nand)
+            .unwrap_or_else(|e| panic!("round {round} ({cut:?}) failed: {e}"));
+        flushes_total += outcome.run.flushes_acknowledged;
+        committed_total += outcome.acked_keys;
+        torn_total += outcome.reopen.torn_runs_discarded as u64;
+        compaction_cuts += u64::from(outcome.run.cut_during_compaction);
+        in_flight_survivals += u64::from(outcome.in_flight_survived);
         assert!(outcome.mount.checkpoint_seq > 0, "round {round}: setup checkpoint must exist");
-        assert!(outcome.verified_keys <= cfg.keys, "round {round}");
+        assert!(outcome.verified_keys <= workload.keys, "round {round}");
     }
     assert!(
         flushes_total > rounds,
@@ -93,12 +95,51 @@ fn cut_during_compaction_merge_loses_nothing() {
     // Deterministic: aim straight into the first compaction window of
     // the default workload.  The harness fails the test internally if
     // any committed key is lost or a torn run half-survives.
-    let outcome = run_kv_crash_cycle_in_compaction(&KvCrashConfig::default(), 0.0)
-        .expect("cycle runs")
-        .expect("the default workload compacts");
-    assert!(outcome.cut_during_compaction, "the cut must land inside the merge");
-    assert!(outcome.flushes_acknowledged > 0);
-    assert!(outcome.committed_keys > 0);
+    let outcome =
+        run_cycle(&KvWorkload::default(), &faults(), Cut::InWindow(0.0), nand).expect("cycle runs");
+    assert!(outcome.run.cut_during_compaction, "the cut must land inside the merge");
+    assert!(outcome.run.flushes_acknowledged > 0);
+    assert!(outcome.acked_keys > 0);
+}
+
+#[test]
+fn cuts_during_the_recovery_mount_are_retried() {
+    // Two more power cuts land while the mount scans the device; each
+    // interrupted boot is power-cycled and retried, and the final mount
+    // still recovers every acknowledged key.
+    let cfg = FaultConfig { mount_cuts: 2, ..faults() };
+    let mut interrupted = 0;
+    for fraction in [0.2, 0.5, 0.8] {
+        let outcome = run_cycle(&KvWorkload::default(), &cfg, Cut::Fraction(fraction), nand)
+            .unwrap_or_else(|e| panic!("fraction {fraction}: {e}"));
+        interrupted += outcome.interrupted_mounts;
+    }
+    assert!(interrupted > 0, "no mount was interrupted");
+}
+
+#[test]
+fn image_file_reboots_recover_every_committed_key() {
+    let cfg = FaultConfig { image_file: true, ..faults() };
+    for cut in [Cut::Fraction(0.3), Cut::Fraction(0.7), Cut::InWindow(0.5)] {
+        let outcome = run_cycle(&KvWorkload::default(), &cfg, cut, nand)
+            .unwrap_or_else(|e| panic!("{cut:?}: {e}"));
+        assert!(outcome.run.flushes_acknowledged > 0, "{cut:?}");
+    }
+}
+
+#[test]
+fn a_workload_that_runs_out_of_space_fails_the_cycle() {
+    // One die cannot hold this working set: the dry run stops with the
+    // region out of space long before its last operation.  That is a
+    // truncated workload, not a cut, so every cycle must fail with it.
+    let workload =
+        KvWorkload { keys: 20_000, ops: 30_000, region_dies: 1, ..KvWorkload::default() };
+    for fraction in [0.1, 0.5, 0.9] {
+        match run_cycle(&workload, &faults(), Cut::Fraction(fraction), nand) {
+            Ok(_) => panic!("fraction {fraction}: a truncated workload passed"),
+            Err(e) => assert!(e.to_string().contains("out of space"), "fraction {fraction}: {e}"),
+        }
+    }
 }
 
 #[test]

@@ -10,9 +10,11 @@
 
 use std::sync::Arc;
 
-use noftl_regions::dbms::crash_harness::{run_crash_cycle, CrashHarnessConfig};
-use noftl_regions::dbms::{ColumnType, Database, DatabaseConfig, NoFtlBackend, Schema, Value};
+use noftl_regions::dbms::{
+    ColumnType, Database, DatabaseConfig, NoFtlBackend, Schema, TableWorkload, Value,
+};
 use noftl_regions::flash::{DeviceBuilder, FlashGeometry, SimTime, TimingModel};
+use noftl_regions::noftl::fault::{nand, run_cycle, Cut, FaultConfig};
 use noftl_regions::noftl::kv::{KvConfig, KvStore};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementConfig, RegionSpec};
 use noftl_regions::obs::validate_chrome_trace;
@@ -73,14 +75,17 @@ fn kv_spans_and_histograms_reach_the_registry() {
 
 #[test]
 fn tracing_never_perturbs_crash_recovery() {
-    let base = CrashHarnessConfig { txns: 60, ..CrashHarnessConfig::default() };
-    let quiet = run_crash_cycle(&base, 0.5).expect("untraced cycle recovers");
-    let traced_cfg = CrashHarnessConfig { trace: true, ..base };
-    let traced = run_crash_cycle(&traced_cfg, 0.5).expect("traced cycle recovers");
+    let workload = TableWorkload { txns: 60, ..TableWorkload::default() };
+    let cycle = |trace| {
+        let cfg = FaultConfig { trace, ..FaultConfig::default() };
+        run_cycle(&workload, &cfg, Cut::Fraction(0.5), nand)
+    };
+    let quiet = cycle(false).expect("untraced cycle recovers");
+    let traced = cycle(true).expect("traced cycle recovers");
     assert_eq!(quiet.mount, traced.mount, "mount reports must be identical tracer on/off");
     assert_eq!(quiet.cut_at, traced.cut_at);
-    assert_eq!(quiet.committed_txns, traced.committed_txns);
-    assert_eq!(quiet.rows_verified, traced.rows_verified);
+    assert_eq!(quiet.run.committed_txns, traced.run.committed_txns);
+    assert_eq!(quiet.verified_keys, traced.verified_keys);
     assert_eq!(quiet.in_flight_survived, traced.in_flight_survived);
 }
 

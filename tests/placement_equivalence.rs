@@ -19,10 +19,8 @@
 use std::sync::Arc;
 
 use noftl_regions::flash::{DeviceBuilder, FlashGeometry, NandDevice, SimTime, TimingModel};
+use noftl_regions::noftl::fault::SplitMix64;
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, RegionSpec};
-
-mod common;
-use common::splitmix;
 
 /// (seed, golden CRC32 of the device image, golden device epoch).
 /// Captured against the pre-refactor allocator; see module docs.
@@ -60,21 +58,21 @@ fn run_workload(seed: u64, config: NoFtlConfig) -> WorkloadRun {
     // so GC runs repeatedly while the workload is in flight.
     let working = 3 * geo.pages_per_die() * 6 / 10;
     let mut expected = std::collections::HashMap::new();
-    let mut rng = seed;
+    let mut rng = SplitMix64(seed);
     let mut t = SimTime::ZERO;
     for _round in 0..4u64 {
         // Single out-of-place writes to random logical pages of `a`.
         for _ in 0..working {
-            let p = splitmix(&mut rng) % working;
-            let v = (splitmix(&mut rng) % 251) as u8;
+            let p = rng.below(working);
+            let v = rng.below(251) as u8;
             t = noftl.write(a, p, &page(v), t).unwrap();
             expected.insert((a, p), v);
         }
         // A queued batch on `b` (the write_batch allocation path).
         let batch: Vec<(u32, u64, Vec<u8>)> = (0..16)
             .map(|_| {
-                let p = splitmix(&mut rng) % 32;
-                let v = (splitmix(&mut rng) % 251) as u8;
+                let p = rng.below(32);
+                let v = rng.below(251) as u8;
                 expected.insert((b, p), v);
                 (b, p, page(v))
             })
@@ -82,7 +80,7 @@ fn run_workload(seed: u64, config: NoFtlConfig) -> WorkloadRun {
         t = noftl.write_batch(&batch, t).unwrap();
         // Free a few pages so invalidation accounting is exercised too.
         for _ in 0..4 {
-            let p = splitmix(&mut rng) % working;
+            let p = rng.below(working);
             noftl.free_page(a, p).unwrap();
             expected.remove(&(a, p));
         }

@@ -27,20 +27,11 @@ use noftl_regions::flash::{
     BlockAddr, DeviceBuilder, DieId, FlashGeometry, NandDevice, PageAddr, PageMetadata, SimTime,
     TimingModel,
 };
+use noftl_regions::noftl::fault::SplitMix64;
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, RegionSpec};
 
 fn device() -> NandDevice {
     DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build()
-}
-
-/// SplitMix64; the proptest stub provides the seed, this drives the
-/// command generator.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Generate `nops` random commands that are *valid by construction*
@@ -48,7 +39,7 @@ fn splitmix(state: &mut u64) -> u64 {
 /// tracking a shadow model of every block's write pointer and the set of
 /// programmed pages per die.
 fn generate_commands(seed: u64, nops: usize, geo: &FlashGeometry) -> Vec<FlashCommand> {
-    let mut rng = seed;
+    let mut rng = SplitMix64(seed);
     let dies = geo.total_dies();
     let blocks = geo.blocks_per_plane;
     let ppb = geo.pages_per_block;
@@ -59,20 +50,20 @@ fn generate_commands(seed: u64, nops: usize, geo: &FlashGeometry) -> Vec<FlashCo
     let mut written: Vec<Vec<PageAddr>> = vec![Vec::new(); dies as usize];
     let mut out = Vec::with_capacity(nops);
     while out.len() < nops {
-        let die = (splitmix(&mut rng) % dies as u64) as u32;
+        let die = rng.below(dies as u64) as u32;
         let d = die as usize;
-        match splitmix(&mut rng) % 10 {
+        match rng.below(10) {
             // Programs dominate so the device actually fills up.
             0..=4 => {
-                let block = (splitmix(&mut rng) % blocks as u64) as u32;
+                let block = rng.below(blocks as u64) as u32;
                 let next = write_ptr[d][block as usize];
                 if next >= ppb {
                     continue;
                 }
                 let addr = PageAddr::new(DieId(die), 0, block, next);
-                let byte = (splitmix(&mut rng) & 0xFF) as u8;
+                let byte = (rng.next_u64() & 0xFF) as u8;
                 let data = vec![byte; psz];
-                let lp = splitmix(&mut rng) % 1024;
+                let lp = rng.below(1024);
                 let meta = PageMetadata::new(1 + die, lp).with_payload_checksum(&data);
                 write_ptr[d][block as usize] = next + 1;
                 written[d].push(addr);
@@ -82,14 +73,14 @@ fn generate_commands(seed: u64, nops: usize, geo: &FlashGeometry) -> Vec<FlashCo
                 if written[d].is_empty() {
                     continue;
                 }
-                let idx = (splitmix(&mut rng) % written[d].len() as u64) as usize;
+                let idx = rng.below(written[d].len() as u64) as usize;
                 out.push(FlashCommand::Read { addr: written[d][idx] });
             }
             7 => {
                 if written[d].is_empty() {
                     continue;
                 }
-                let idx = (splitmix(&mut rng) % written[d].len() as u64) as usize;
+                let idx = rng.below(written[d].len() as u64) as usize;
                 out.push(FlashCommand::MetadataRead { addr: written[d][idx] });
             }
             8 => {
@@ -98,9 +89,9 @@ fn generate_commands(seed: u64, nops: usize, geo: &FlashGeometry) -> Vec<FlashCo
                 if written[d].is_empty() {
                     continue;
                 }
-                let sidx = (splitmix(&mut rng) % written[d].len() as u64) as usize;
+                let sidx = rng.below(written[d].len() as u64) as usize;
                 let src = written[d][sidx];
-                let dblock = (splitmix(&mut rng) % blocks as u64) as u32;
+                let dblock = rng.below(blocks as u64) as u32;
                 let next = write_ptr[d][dblock as usize];
                 if dblock == src.block || next >= ppb {
                     continue;
@@ -112,7 +103,7 @@ fn generate_commands(seed: u64, nops: usize, geo: &FlashGeometry) -> Vec<FlashCo
             }
             _ => {
                 // Erase a block that has been written to.
-                let block = (splitmix(&mut rng) % blocks as u64) as u32;
+                let block = rng.below(blocks as u64) as u32;
                 if write_ptr[d][block as usize] == 0 {
                     continue;
                 }
@@ -349,8 +340,7 @@ fn queued_write_batch_under_power_cut_mounts_cleanly() {
     assert!(matches!(err, noftl_regions::noftl::NoFtlError::Flash(e) if e.is_power_loss()));
 
     // Reboot from the snapshot and mount.
-    let snap = dev.snapshot();
-    let dev2 = Arc::new(NandDevice::from_snapshot(&snap, TimingModel::mlc_2015()).unwrap());
+    let dev2 = Arc::new(dev.power_cycle(None).unwrap());
     let (mounted, report) = NoFtl::mount(dev2, NoFtlConfig::default(), t).unwrap();
     assert!(report.torn_pages_discarded > 0, "the cut must have torn part of the batch");
     // Every page reads as either its base version or its batch version —
