@@ -4,7 +4,7 @@
 //! (`flash_sim::lockorder::LockClass`):
 //!
 //! ```text
-//! Manager < PendingIo < Queue < Arbiter < Die(id asc) < Channel(id asc) < Shared
+//! Manager < PendingIo < Queue < Die(id asc) < Channel(id asc) < Shared
 //! ```
 //!
 //! All acquisitions go through named choke points, so a token-level scan
@@ -30,11 +30,10 @@ const RANKS: &[(&str, u8)] = &[
     ("lock_inner", 0),      // LockClass::Manager
     ("lock_pending_io", 1), // LockClass::PendingIo
     ("queue_shard", 2),     // LockClass::Queue
-    ("arbiter_shard", 3),   // LockClass::Arbiter
-    ("die_shard", 4),       // LockClass::Die(_)
-    ("lock_all_dies", 4),   // LockClass::Die(ascending sweep)
-    ("channel_shard", 5),   // LockClass::Channel(_)
-    ("shared_shard", 6),    // LockClass::Shared
+    ("die_shard", 3),       // LockClass::Die(_)
+    ("lock_all_dies", 3),   // LockClass::Die(ascending sweep)
+    ("channel_shard", 4),   // LockClass::Channel(_)
+    ("shared_shard", 5),    // LockClass::Shared
 ];
 
 /// Files in which raw `.lock(` calls are forbidden outside the choke
@@ -87,7 +86,7 @@ pub fn check(view: &FileView<'_>) -> Vec<RawFinding> {
                     message: format!(
                         "lock-order violation in `{}`: `{name}` (rank {rank}) acquired after \
                          `{prev_name}` (rank {prev_rank}, line {prev_line}); documented order is \
-                         Manager < PendingIo < Queue < Arbiter < Die < Channel < Shared",
+                         Manager < PendingIo < Queue < Die < Channel < Shared",
                         item.name
                     ),
                 });
@@ -130,16 +129,6 @@ mod tests {
     fn ascending_choke_calls_are_clean() {
         let src = "fn f(&self) { let d = self.die_shard(0); let c = self.channel_shard(1); let s = self.shared_shard(); }";
         assert!(run("crates/flash/src/device.rs", src).is_empty());
-    }
-
-    #[test]
-    fn arbiter_sits_between_queue_and_die() {
-        let clean = "fn f(&self) { let q = self.queue_shard(); let a = self.arbiter_shard(s); let d = self.die_shard(0); }";
-        assert!(run("crates/flash/src/device.rs", clean).is_empty());
-        let bad = "fn f(&self) { let d = self.die_shard(0); let a = self.arbiter_shard(s); }";
-        let f = run("crates/flash/src/device.rs", bad);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("lock-order violation"));
     }
 
     #[test]

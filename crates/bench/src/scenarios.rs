@@ -164,15 +164,15 @@ pub fn scenarios_section(quick: bool, group: ScenarioGroup) -> Section {
         metrics.push(Metric::new("replay_misses", rep.misses as f64, "count"));
 
         // Multi-tenant: latency-sensitive OLTP beside a compaction-heavy
-        // KV neighbor on the same device's channels, with the cross-region
-        // I/O arbiter on — the deployment configuration this scenario
-        // gates.  The arbiter-off run of the same schedules is kept as a
-        // diagnostic (`mt_oltp_p99_penalty_noarb`), so the raw
-        // interference the arbiter absorbs stays visible in every report.
+        // KV neighbor on the same device's channels, with the tenants'
+        // service classes declared — the deployment configuration this
+        // scenario gates.  The class-less run of the same schedules is
+        // kept as a diagnostic (`mt_oltp_p99_penalty_noarb`), so the raw
+        // interference the classes absorb stays visible in every report.
         let config = if quick { MultiTenantConfig::quick() } else { MultiTenantConfig::full() };
-        let noarb = oltp_beside_compaction(&config).expect("multi-tenant scenario (arbiter off)");
+        let noarb = oltp_beside_compaction(&config).expect("multi-tenant scenario (no classes)");
         metrics.push(Metric::new("mt_oltp_p99_penalty_noarb", noarb.p99_penalty, "x"));
-        let config = config.with_arbiter();
+        let config = config.with_service_classes();
         let mt = oltp_beside_compaction(&config).expect("multi-tenant scenario");
         metrics.push(Metric::new("mt_oltp_kops", mt.oltp_shared.achieved_kops, "kops_sim"));
         metrics.push(Metric::new("mt_oltp_p50_us", mt.oltp_shared.p50_us, "us_sim"));
@@ -229,11 +229,11 @@ mod tests {
         assert!(get("replay_p99_us") >= get("replay_p50_us"));
         assert!(
             get("mt_oltp_p99_penalty") <= 2.0,
-            "the arbiter must cap the noisy-neighbor tail penalty"
+            "service classes must cap the noisy-neighbor tail penalty"
         );
         assert!(
             get("mt_oltp_p99_penalty_noarb") >= 1.0,
-            "sharing without the arbiter cannot improve the tail"
+            "sharing without service classes cannot improve the tail"
         );
         assert!(get("mt_compact_flushes") >= 1.0, "the noisy neighbor must flush");
         assert!(

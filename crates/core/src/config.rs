@@ -53,10 +53,10 @@ pub struct NoFtlConfig {
     /// [`crate::RegionSpec::with_placement`].
     pub placement: PlacementPolicyKind,
     /// Default I/O service class for regions that do not set one via
-    /// [`crate::RegionSpec::with_service_class`].  `Throughput` leaves
-    /// the arbiter neutral; maintenance traffic (GC relocation, KV
-    /// compaction, rebuild copies) is always tagged `Background`
-    /// regardless of this default.
+    /// [`crate::RegionSpec::with_service_class`].  `Throughput` appends
+    /// on the channel like untagged I/O; maintenance traffic (GC
+    /// relocation, KV compaction, rebuild copies) is always tagged
+    /// `Background` regardless of this default.
     pub service_class: ServiceClass,
 }
 

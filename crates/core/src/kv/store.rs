@@ -1040,12 +1040,9 @@ mod tests {
     }
 
     #[test]
-    fn compaction_io_is_tagged_background_on_an_arbiter_device() {
+    fn compaction_io_is_tagged_background() {
         let device = Arc::new(
-            DeviceBuilder::new(FlashGeometry::small_test())
-                .timing(TimingModel::instant())
-                .arbiter(flash_sim::ArbiterConfig::default())
-                .build(),
+            DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::instant()).build(),
         );
         let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
         let rid = noftl
@@ -1068,7 +1065,7 @@ mod tests {
         assert!(kv.stats().compactions > 0, "threshold 3 over 4 flushes must compact");
         // Both the merge reads and the merged-run writes are maintenance
         // traffic: tagged Background even though the region is Latency.
-        assert!(bg() > 0, "compaction I/O must be admitted as background");
+        assert!(bg() > 0, "compaction I/O must be tagged background");
         // Plain flushes and gets stay on the region's own class.
         let before = bg();
         let (got, _) = kv.get(&key(0), t).unwrap();

@@ -1033,7 +1033,7 @@ impl NoFtl {
                 // into whichever region hosts them, so prefer the least
                 // latency-sensitive one.  Ties keep declaration order,
                 // which on a device without service classes reduces to
-                // "the first live region" — the pre-arbiter behavior.
+                // "the first live region".
                 let rank = |class: ServiceClass| match class {
                     ServiceClass::Background => 0u8,
                     ServiceClass::Throughput => 1,
@@ -1166,7 +1166,7 @@ impl NoFtl {
             };
             let meta = PageMetadata::new(META_OBJECT_ID, index as u64).with_payload_checksum(&page);
             // Checkpoint chunks are durability traffic even when the
-            // journal falls back to a regular region: never budget-defer.
+            // journal falls back to a regular region.
             let tag = {
                 let mut t = Self::region_tag(&inner.regions, &self.config, rid, None);
                 t.exempt = true;
@@ -1505,12 +1505,10 @@ impl NoFtl {
         Ok(())
     }
 
-    /// The arbiter tag for host traffic of region `rid`: `class` if the
+    /// The device tag for host traffic of region `rid`: `class` if the
     /// caller forces one, else the region's resolved service class (spec
-    /// override or config default), keyed by
-    /// region id so the device meters each region's channel budget
-    /// separately.  Traffic of the metadata-journal region is
-    /// durability-exempt — checkpoints are never budget-deferred.
+    /// override or config default), with the region id.  Traffic of the
+    /// metadata-journal region is tagged as durability traffic.
     fn region_tag(
         regions: &[Option<RegionRuntime>],
         config: &NoFtlConfig,
@@ -1732,8 +1730,7 @@ impl NoFtl {
                 Err(_) => return false,
             }
             // GC relocation is maintenance traffic: tagged `Background`
-            // so the arbiter budgets its channel time (the copyback
-            // itself is die-internal and takes no channel).
+            // (the copyback itself is die-internal and takes no channel).
             let gc_tag = IoTag::background(Some(region.id.0));
             let Ok((meta, _)) = device.read_metadata_tagged(src, at, gc_tag) else {
                 return false;
@@ -2714,13 +2711,11 @@ mod tests {
 
     mod service_class_audit {
         use super::*;
-        use flash_sim::ArbiterConfig;
 
-        fn make_arbiter_noftl(config: NoFtlConfig) -> NoFtl {
+        fn make_classed_noftl(config: NoFtlConfig) -> NoFtl {
             let device = Arc::new(
                 DeviceBuilder::new(FlashGeometry::small_test())
                     .timing(TimingModel::mlc_2015())
-                    .arbiter(ArbiterConfig::default())
                     .build(),
             );
             NoFtl::new(device, config)
@@ -2732,7 +2727,7 @@ mod tests {
 
         #[test]
         fn host_io_carries_the_region_class() {
-            let noftl = make_arbiter_noftl(NoFtlConfig::default());
+            let noftl = make_classed_noftl(NoFtlConfig::default());
             let r = noftl
                 .create_region(
                     RegionSpec::named("rgOltp")
@@ -2751,7 +2746,7 @@ mod tests {
         fn unclassed_regions_fall_back_to_the_manager_default() {
             let config =
                 NoFtlConfig { service_class: ServiceClass::Latency, ..NoFtlConfig::default() };
-            let noftl = make_arbiter_noftl(config);
+            let noftl = make_classed_noftl(config);
             let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
             let obj = noftl.create_object("t", r).unwrap();
             noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
@@ -2761,7 +2756,7 @@ mod tests {
 
         #[test]
         fn gc_relocations_are_tagged_background_regardless_of_region_class() {
-            let noftl = make_arbiter_noftl(NoFtlConfig::default());
+            let noftl = make_classed_noftl(NoFtlConfig::default());
             let r = noftl
                 .create_region(
                     RegionSpec::named("rg")
@@ -2794,7 +2789,7 @@ mod tests {
 
         #[test]
         fn checkpoint_and_meta_journal_writes_are_exempt() {
-            let noftl = make_arbiter_noftl(NoFtlConfig::default());
+            let noftl = make_classed_noftl(NoFtlConfig::default());
             let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
             let obj = noftl.create_object("t", r).unwrap();
             let t = noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
@@ -2802,18 +2797,11 @@ mod tests {
             let t = noftl.checkpoint(t).unwrap();
             let after_ckpt = counter(&noftl, "flash.arbiter.exempt");
             assert!(after_ckpt > before, "checkpoint chunk programs must be exempt");
-            assert_eq!(
-                counter(&noftl, "flash.arbiter.deferred"),
-                0,
-                "durability traffic is never budget-deferred"
-            );
             // Further checkpoints keep riding the __noftl_meta region
-            // exempt — durability traffic is never inverted behind the
-            // background budget.
+            // exempt.
             let t = noftl.write(obj, 1, &page(2), t).unwrap();
             noftl.checkpoint(t).unwrap();
             assert!(counter(&noftl, "flash.arbiter.exempt") > after_ckpt);
-            assert_eq!(counter(&noftl, "flash.arbiter.deferred"), 0);
         }
     }
 }

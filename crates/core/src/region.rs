@@ -96,7 +96,7 @@ impl RegionSpec {
 
     /// Override the I/O service class for this region (DDL:
     /// `CLASS=LATENCY`).  The class rides on every flash command the
-    /// region submits and drives the device arbiter's admission.
+    /// region submits and decides its channel scheduling on the device.
     pub fn with_service_class(mut self, class: ServiceClass) -> Self {
         self.service_class = Some(class);
         self

@@ -58,8 +58,8 @@ pub trait FlashBackend: Send + Sync {
         at: SimTime,
     ) -> Result<(Vec<u8>, Option<PageMetadata>, OpOutcome)>;
 
-    /// [`Self::read_page`] carrying an arbiter [`IoTag`].  Backends
-    /// without an arbiter (the default) ignore the tag.
+    /// [`Self::read_page`] carrying an [`IoTag`].  Backends without
+    /// service classes (the default) ignore the tag.
     fn read_page_tagged(
         &self,
         addr: PageAddr,
@@ -77,7 +77,7 @@ pub trait FlashBackend: Send + Sync {
         at: SimTime,
     ) -> Result<(Option<PageMetadata>, OpOutcome)>;
 
-    /// [`Self::read_metadata`] carrying an arbiter [`IoTag`] (ignored by
+    /// [`Self::read_metadata`] carrying an [`IoTag`] (ignored by
     /// default).
     fn read_metadata_tagged(
         &self,
@@ -98,7 +98,7 @@ pub trait FlashBackend: Send + Sync {
         at: SimTime,
     ) -> Result<OpOutcome>;
 
-    /// [`Self::program_page`] carrying an arbiter [`IoTag`] (ignored by
+    /// [`Self::program_page`] carrying an [`IoTag`] (ignored by
     /// default).
     fn program_page_tagged(
         &self,

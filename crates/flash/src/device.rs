@@ -28,19 +28,19 @@ use noftl_obs::MetricsRegistry;
 use parking_lot::Mutex;
 
 use crate::addr::{BlockAddr, DieId, PageAddr};
-use crate::arbiter::{ArbiterConfig, IoTag, ServiceClass, TokenBucket};
+use crate::arbiter::IoTag;
 use crate::badblock::BadBlockPolicy;
 use crate::block::{Block, BlockInfo, BlockSnapshot, BlockState, PageState};
-use crate::die::{Channel, ChannelPolicy, Die};
+use crate::die::{Channel, Die};
 use crate::error::FlashError;
 use crate::geometry::FlashGeometry;
 use crate::lockorder::{self, LockClass, TrackedGuard};
 use crate::metadata::PageMetadata;
-use crate::obs::{ArbiterObs, DeviceObs};
+use crate::obs::DeviceObs;
 use crate::queue::OpKind;
 use crate::sched;
 use crate::stats::{DeviceStats, DieStats, UtilizationSummary, WearSummary};
-use crate::time::{Duration, SimTime};
+use crate::time::SimTime;
 use crate::timing::TimingModel;
 use crate::Result;
 
@@ -86,7 +86,6 @@ pub struct DeviceBuilder {
     store_data: bool,
     strict_copyback_plane: bool,
     metrics: Option<Arc<MetricsRegistry>>,
-    arbiter: Option<ArbiterConfig>,
 }
 
 impl DeviceBuilder {
@@ -99,7 +98,6 @@ impl DeviceBuilder {
             store_data: true,
             strict_copyback_plane: false,
             metrics: None,
-            arbiter: None,
         }
     }
 
@@ -126,16 +124,6 @@ impl DeviceBuilder {
     /// devices often do); off by default.
     pub fn strict_copyback_plane(mut self, strict: bool) -> Self {
         self.strict_copyback_plane = strict;
-        self
-    }
-
-    /// Enable the cross-region I/O arbiter with the given tuning: per-
-    /// region channel-bandwidth budgets for `Background`-class transfers
-    /// plus gap backfilling for foreground traffic.  Off by default —
-    /// without it, tagged submissions schedule byte-identically to
-    /// untagged ones.
-    pub fn arbiter(mut self, config: ArbiterConfig) -> Self {
-        self.arbiter = Some(config);
         self
     }
 
@@ -172,11 +160,6 @@ impl DeviceBuilder {
                 BlockState::Bad;
         }
         let registry = self.metrics.unwrap_or_else(|| Arc::new(MetricsRegistry::new()));
-        let arbiter = self.arbiter.map(|config| ArbiterSlot {
-            config,
-            obs: ArbiterObs::new(&registry),
-            state: Mutex::new(ArbiterState { buckets: std::collections::HashMap::new() }),
-        });
         NandDevice {
             geometry: g,
             timing: self.timing,
@@ -190,23 +173,8 @@ impl DeviceBuilder {
             shared: Mutex::new(DeviceStats::default()),
             touched: (0..g.total_dies()).map(|_| AtomicBool::new(false)).collect(),
             obs: DeviceObs::new(registry, g.total_dies()),
-            arbiter,
         }
     }
-}
-
-/// Admission state of an arbiter-enabled device: one token bucket per
-/// `(region, channel)` pair, created on first use.
-struct ArbiterState {
-    buckets: std::collections::HashMap<(u32, u32), TokenBucket>,
-}
-
-/// The arbiter of an enabled device: tuning, admission state behind its
-/// own lock class, and pre-bound decision counters.
-struct ArbiterSlot {
-    config: ArbiterConfig,
-    state: Mutex<ArbiterState>,
-    obs: ArbiterObs,
 }
 
 /// A complete image of the device state, used both as a read-only summary
@@ -270,8 +238,6 @@ pub struct NandDevice {
     touched: Vec<AtomicBool>,
     /// Pre-registered metric handles (atomics-only; see `crate::obs`).
     obs: DeviceObs,
-    /// Cross-region I/O arbiter (None = disabled, the pre-arbiter path).
-    arbiter: Option<ArbiterSlot>,
 }
 
 impl std::fmt::Debug for NandDevice {
@@ -359,69 +325,6 @@ impl NandDevice {
         lockorder::lock_tracked(LockClass::Shared, &self.shared)
     }
 
-    /// Lock the arbiter's admission state.  This is the sole acquisition
-    /// site of the arbiter lock; it sits between the queue and the die
-    /// shards in the documented order and is always released before any
-    /// die or channel lock is taken.
-    fn arbiter_shard<'a>(&self, slot: &'a ArbiterSlot) -> TrackedGuard<'a, ArbiterState> {
-        let _ = self;
-        lockorder::lock_tracked(LockClass::Arbiter, &slot.state)
-    }
-
-    /// Whether the cross-region arbiter is enabled on this device.
-    pub fn arbiter_enabled(&self) -> bool {
-        self.arbiter.is_some()
-    }
-
-    /// Decide the issue time and channel policy of a tagged transfer op
-    /// whose channel occupancy is `xfer`.  With the arbiter disabled this
-    /// is the identity: issue at `at`, schedule exactly as before.
-    fn admit(
-        &self,
-        tag: IoTag,
-        region_channel: u32,
-        xfer: Duration,
-        at: SimTime,
-    ) -> (SimTime, ChannelPolicy) {
-        let Some(slot) = &self.arbiter else {
-            return (at, ChannelPolicy::Direct);
-        };
-        slot.obs.note_class(tag.class);
-        if tag.exempt {
-            slot.obs.exempt.inc();
-            return (at, ChannelPolicy::Backfill);
-        }
-        match tag.class {
-            ServiceClass::Latency | ServiceClass::Throughput => (at, ChannelPolicy::Backfill),
-            ServiceClass::Background => {
-                let key = (tag.region.unwrap_or(u32::MAX), region_channel);
-                let admission = {
-                    let mut state = self.arbiter_shard(slot);
-                    let bucket =
-                        state.buckets.entry(key).or_insert_with(|| TokenBucket::new(&slot.config));
-                    bucket.admit(&slot.config, at, xfer.as_nanos())
-                };
-                if admission.deferred {
-                    slot.obs.deferred.inc();
-                    slot.obs.deferral_ns.add(admission.issue.as_nanos() - at.as_nanos());
-                    if admission.aged {
-                        slot.obs.aging_capped.inc();
-                    }
-                }
-                (admission.issue, ChannelPolicy::Append)
-            }
-        }
-    }
-
-    /// Record a backfilled transfer (arbiter-enabled devices only).
-    fn note_backfill(&self, backfilled: bool) {
-        if backfilled {
-            if let Some(slot) = &self.arbiter {
-                slot.obs.backfills.inc();
-            }
-        }
-    }
-
     /// Read a page: returns the payload (empty if the device does not store
     /// data), its OOB metadata, and the operation outcome.
     pub fn read_page(
@@ -432,11 +335,10 @@ impl NandDevice {
         self.read_page_tagged(addr, at, IoTag::default())
     }
 
-    /// [`NandDevice::read_page`] carrying an arbiter [`IoTag`].  On an
-    /// arbiter-enabled device a `Background` tag runs the channel
-    /// transfer through its region's bandwidth budget (possibly deferring
-    /// the operation) while foreground tags may backfill idle gaps; with
-    /// the arbiter disabled the tag is ignored.
+    /// [`NandDevice::read_page`] carrying an [`IoTag`].  The tag's class
+    /// schedules the channel transfer: a `Latency` transfer takes the
+    /// first idle channel gap it fits in, every other class appends
+    /// exactly like the untagged call.
     pub fn read_page_tagged(
         &self,
         addr: PageAddr,
@@ -446,8 +348,6 @@ impl NandDevice {
         self.check_page(addr)?;
         self.check_powered(at)?;
         let ch = self.geometry.channel_of_die(addr.die);
-        let (issue, policy) =
-            self.admit(tag, ch, self.timing.transfer_time(self.geometry.page_size), at);
         let mut die = self.die_shard(addr.die);
         {
             let block = &die.planes[addr.plane as usize].blocks[addr.block as usize];
@@ -466,12 +366,12 @@ impl NandDevice {
                 &mut die,
                 &mut chan,
                 &self.timing,
-                issue,
+                at,
                 self.geometry.page_size,
-                policy,
+                tag.class,
             )
         };
-        self.note_backfill(sched.backfilled);
+        self.obs.note_transfer(tag, &sched);
         // A read whose result would only arrive after the power cut never
         // reaches the host.
         if let Some(cut) = self.cut_instant() {
@@ -512,7 +412,7 @@ impl NandDevice {
         self.read_metadata_tagged(addr, at, IoTag::default())
     }
 
-    /// [`NandDevice::read_metadata`] carrying an arbiter [`IoTag`] (see
+    /// [`NandDevice::read_metadata`] carrying an [`IoTag`] (see
     /// [`NandDevice::read_page_tagged`]).
     pub fn read_metadata_tagged(
         &self,
@@ -523,7 +423,6 @@ impl NandDevice {
         self.check_page(addr)?;
         self.check_powered(at)?;
         let ch = self.geometry.channel_of_die(addr.die);
-        let (issue, policy) = self.admit(tag, ch, self.timing.oob_transfer_time(), at);
         let mut die = self.die_shard(addr.die);
         {
             let block = &die.planes[addr.plane as usize].blocks[addr.block as usize];
@@ -538,12 +437,12 @@ impl NandDevice {
                 &mut die,
                 &mut chan,
                 &self.timing,
-                issue,
+                at,
                 self.geometry.oob_size,
-                policy,
+                tag.class,
             )
         };
-        self.note_backfill(sched.backfilled);
+        self.obs.note_transfer(tag, &sched);
         if let Some(cut) = self.cut_instant() {
             if sched.complete > cut {
                 self.note_error();
@@ -575,7 +474,7 @@ impl NandDevice {
         self.program_page_inner(addr, data, meta, at, true, IoTag::default())
     }
 
-    /// [`NandDevice::program_page`] carrying an arbiter [`IoTag`] (see
+    /// [`NandDevice::program_page`] carrying an [`IoTag`] (see
     /// [`NandDevice::read_page_tagged`]).
     pub fn program_page_tagged(
         &self,
@@ -607,8 +506,8 @@ impl NandDevice {
         meta: PageMetadata,
         at: SimTime,
     ) -> Result<OpOutcome> {
-        // Rebuild copies are maintenance traffic: tagged `Background` so
-        // an arbiter-enabled device budgets them like GC and compaction.
+        // Rebuild copies are maintenance traffic: tagged `Background`
+        // like GC and compaction.
         self.program_page_inner(addr, data, meta, at, false, IoTag::background(None))
     }
 
@@ -637,8 +536,6 @@ impl NandDevice {
         }
         self.check_powered(at)?;
         let ch = self.geometry.channel_of_die(addr.die);
-        let (issue, policy) =
-            self.admit(tag, ch, self.timing.transfer_time(self.geometry.page_size), at);
         let mut die = self.die_shard(addr.die);
         {
             let block = &die.planes[addr.plane as usize].blocks[addr.block as usize];
@@ -674,12 +571,12 @@ impl NandDevice {
                 &mut die,
                 &mut chan,
                 &self.timing,
-                issue,
+                at,
                 self.geometry.page_size,
-                policy,
+                tag.class,
             )
         };
-        self.note_backfill(sched.backfilled);
+        self.obs.note_transfer(tag, &sched);
         let pages_per_block = self.geometry.pages_per_block;
         let psz = self.geometry.page_size as usize;
         let store = self.store_data;
@@ -1243,7 +1140,6 @@ impl NandDevice {
             shared: Mutex::new(snap.stats.clone()),
             touched,
             obs: DeviceObs::new(Arc::new(MetricsRegistry::new()), g.total_dies()),
-            arbiter: None,
         })
     }
 
@@ -1774,10 +1670,10 @@ mod tests {
         }
     }
 
-    mod arbiter {
-        use proptest::prelude::*;
-
+    mod service_class {
         use super::*;
+        use crate::arbiter::ServiceClass;
+        use crate::time::Duration;
 
         fn builder() -> DeviceBuilder {
             DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015())
@@ -1801,19 +1697,19 @@ mod tests {
         }
 
         #[test]
-        fn arbiter_off_tagged_path_is_byte_identical_to_untagged() {
-            // The PR 9 equivalence guarantee: with no arbiter configured,
-            // every tag (any class, exempt or not) schedules exactly like
-            // the untagged API.
+        fn non_latency_tags_schedule_like_untagged() {
+            // Only a `Latency` class changes channel scheduling: every
+            // other tag (exempt or not) schedules exactly like the
+            // untagged API, gaps and all.
             let tagged = builder().build();
             let plain = builder().build();
             let t0 = seed_pages(&tagged);
             assert_eq!(t0, seed_pages(&plain));
             let tags = [
-                IoTag::new(ServiceClass::Latency, Some(1)),
                 IoTag::default(),
                 IoTag::background(Some(2)),
                 IoTag::durability(ServiceClass::Throughput, None),
+                IoTag::durability(ServiceClass::Background, Some(1)),
             ];
             let mut at = t0;
             for (i, tag) in tags.iter().cycle().take(24).enumerate() {
@@ -1829,130 +1725,37 @@ mod tests {
             assert_eq!(a.read_latency_sum, b.read_latency_sum);
             assert_eq!(a.bytes_transferred, b.bytes_transferred);
             assert_eq!(tagged.quiesce_time(), plain.quiesce_time());
-            assert_eq!(counter(&tagged, "flash.arbiter.deferred"), 0);
+            assert_eq!(counter(&tagged, "flash.arbiter.backfills"), 0);
+            assert_eq!(counter(&tagged, "flash.arbiter.exempt"), 12);
+            assert_eq!(counter(&tagged, "flash.arbiter.class.background.ops"), 12);
         }
 
         #[test]
-        fn background_burst_defers_and_foreground_backfills_the_gaps() {
-            let d = builder().arbiter(ArbiterConfig::default()).build();
+        fn latency_reads_backfill_the_gaps_a_background_burst_leaves() {
+            let d = builder().build();
             let t0 = seed_pages(&d);
-            // A saturating same-instant background burst on die 0's channel
-            // overdraws the region budget: later reads are deferred, and
-            // each deferral opens an idle gap on the channel.
+            // A same-instant background burst on die 0 serializes on the
+            // die's array reads; each transfer starts past the channel's
+            // `busy_until` and leaves an idle gap behind it.
             let bg = IoTag::background(Some(7));
-            for _ in 0..120 {
+            for _ in 0..16 {
                 d.read_page_tagged(page(0, 0, 0), t0, bg).unwrap();
             }
-            assert!(counter(&d, "flash.arbiter.deferred") > 0, "budget must defer the burst");
-            assert!(counter(&d, "flash.arbiter.deferral_ns") > 0);
-            assert_eq!(
-                counter(&d, "flash.arbiter.class.background.ops"),
-                120,
-                "every burst read admitted as background"
-            );
+            assert_eq!(counter(&d, "flash.arbiter.class.background.ops"), 16);
+            assert_eq!(counter(&d, "flash.arbiter.backfills"), 0, "background never backfills");
             // A latency read from the die sharing the channel lands in one
-            // of the opened gaps instead of queueing behind the burst.
+            // of those gaps instead of queueing behind the burst.
             let before = d.quiesce_time();
             // Die 1 shares channel 0 with the bursting die 0.
             let lat = IoTag::new(ServiceClass::Latency, Some(1));
             let (_, _, out) = d.read_page_tagged(page(1, 0, 0), t0, lat).unwrap();
             assert_eq!(counter(&d, "flash.arbiter.backfills"), 1);
+            assert_eq!(counter(&d, "flash.arbiter.class.latency.ops"), 1);
             assert!(
                 out.completed_at < before,
                 "backfilled read finishes inside the burst window, not after it"
             );
-        }
-
-        #[test]
-        fn exempt_durability_traffic_is_never_deferred() {
-            let d = builder().arbiter(ArbiterConfig::default()).build();
-            let t0 = seed_pages(&d);
-            // Drain the budget with a background burst first.
-            let bg = IoTag::background(Some(3));
-            for _ in 0..120 {
-                d.read_page_tagged(page(0, 0, 0), t0, bg).unwrap();
-            }
-            let deferred = counter(&d, "flash.arbiter.deferred");
-            assert!(deferred > 0);
-            // Durability traffic from the *same* region sails past the
-            // drained bucket (no new deferrals), counted as exempt.
-            let meta = IoTag::durability(ServiceClass::Throughput, Some(3));
-            for _ in 0..8 {
-                d.read_page_tagged(page(0, 0, 0), t0, meta).unwrap();
-            }
-            assert_eq!(counter(&d, "flash.arbiter.exempt"), 8);
-            assert_eq!(counter(&d, "flash.arbiter.deferred"), deferred, "exempt ops never metered");
-        }
-
-        #[test]
-        fn saturating_pressure_trips_the_aging_clip_but_completes_everything() {
-            // A tiny budget with a tight aging bound: deferral requests far
-            // exceed max_defer_ns, so the clip must engage, and every op
-            // still completes within the bound of its issue + backlog.
-            let cfg = ArbiterConfig {
-                background_fraction: 0.05,
-                window_ns: 100_000,
-                max_defer_ns: 500_000,
-            };
-            let d = builder().arbiter(cfg).build();
-            let t0 = seed_pages(&d);
-            let bg = IoTag::background(Some(1));
-            let mut max_start_delay = Duration::ZERO;
-            for _ in 0..64 {
-                let (_, _, out) = d.read_page_tagged(page(0, 0, 0), t0, bg).unwrap();
-                max_start_delay = max_start_delay.max(out.started_at.since(t0));
-            }
-            assert!(counter(&d, "flash.arbiter.aging_capped") > 0, "clip must engage");
-            // Start delay is bounded by admission aging plus the channel
-            // backlog the ops themselves create — far below the unclipped
-            // deferral the drained bucket would have demanded.
-            let per_op =
-                d.timing().read_array_time() + d.timing().transfer_time(d.geometry().page_size);
-            let backlog = Duration(per_op.as_nanos() * 64);
-            assert!(
-                max_start_delay.as_nanos() <= cfg.max_defer_ns + backlog.as_nanos(),
-                "start delay {max_start_delay:?} exceeds aging bound + backlog"
-            );
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(16))]
-
-            /// Fairness: on any mixed-class read sequence, the arbiter
-            /// delays no op's start by more than `max_defer_ns` beyond
-            /// where the arbiter-off device would have started it — the
-            /// anti-starvation aging window is a hard bound, and exempt
-            /// (`__noftl_meta`-style) traffic is never inverted behind
-            /// the background budget.
-            #[test]
-            fn no_op_starts_more_than_the_aging_window_late(
-                classes in prop::collection::vec(0u8..4, 1..48),
-                gaps in prop::collection::vec(0u64..40_000, 1..48),
-            ) {
-                let cfg = ArbiterConfig::default();
-                let arb = builder().arbiter(cfg).build();
-                let off = builder().build();
-                let t0 = seed_pages(&arb);
-                seed_pages(&off);
-                let mut at = t0;
-                for (i, class) in classes.iter().enumerate() {
-                    let tag = match class {
-                        0 => IoTag::new(ServiceClass::Latency, Some(1)),
-                        1 => IoTag::default(),
-                        2 => IoTag::background(Some(2)),
-                        _ => IoTag::durability(ServiceClass::Throughput, Some(1)),
-                    };
-                    let die = (i as u32) % arb.geometry().total_dies();
-                    let (_, _, a) = arb.read_page_tagged(page(die, 0, 0), at, tag).unwrap();
-                    let (_, _, b) = off.read_page_tagged(page(die, 0, 0), at, tag).unwrap();
-                    prop_assert!(
-                        a.started_at.as_nanos() <= b.started_at.as_nanos() + cfg.max_defer_ns,
-                        "op {} (class {}) started at {:?}, off-device {:?}: past the aging window",
-                        i, class, a.started_at, b.started_at
-                    );
-                    at += Duration(gaps[i % gaps.len()]);
-                }
-            }
+            assert_eq!(d.quiesce_time(), before, "a backfill never extends the channel");
         }
     }
 }

@@ -7,6 +7,7 @@
 
 use std::collections::VecDeque;
 
+use crate::arbiter::ServiceClass;
 use crate::block::Block;
 use crate::time::{Duration, SimTime};
 
@@ -84,116 +85,87 @@ impl Die {
     }
 }
 
-/// How a transfer claims channel time (decided by the device's arbiter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ChannelPolicy {
-    /// Plain append at `busy_until` — the arbiter-off path, byte-identical
-    /// to pre-arbiter scheduling (no gaps recorded or consumed).
-    Direct,
-    /// Foreground/exempt traffic on an arbiter-enabled device: claim a
-    /// recorded idle gap if one fits, otherwise append.
-    Backfill,
-    /// Budget-deferred background traffic: append, recording the idle gap
-    /// the deferral opens so foreground transfers can backfill it.
-    Append,
-}
-
-/// Upper bound on remembered idle gaps per channel (oldest pruned first).
+/// Upper bound on remembered idle gaps per channel (oldest evicted first).
 const MAX_GAPS: usize = 32;
 
 /// Channel occupancy state: the bus shared by all dies of a channel for
 /// data transfers between controller and page registers.
+///
+/// Transfers append at `busy_until`; one that starts past it leaves the
+/// channel idle in between, and that idle window is recorded.  Only a
+/// [`ServiceClass::Latency`] transfer reuses recorded windows: it takes
+/// the first one it fits in.  Every other class appends, so a sequence
+/// without `Latency` traffic is scheduled exactly like a plain FIFO bus.
 #[derive(Debug, Default)]
 pub(crate) struct Channel {
     pub busy_until: SimTime,
     pub busy_time: Duration,
     pub bytes_transferred: u64,
-    /// Idle windows `(start, end)` deliberately opened by deferred
-    /// background transfers, in recording order.  Only populated on
-    /// arbiter-enabled devices; always empty under [`ChannelPolicy::Direct`].
+    /// Idle windows `(start, end)` left behind by transfers that started
+    /// past `busy_until`, in recording order, at most [`MAX_GAPS`].
     gaps: Vec<(SimTime, SimTime)>,
 }
 
 impl Channel {
     /// Reserve the channel for a transfer of length `dur` starting no
-    /// earlier than `at`.  Returns `(start, end)`.
-    pub(crate) fn reserve(&mut self, at: SimTime, dur: Duration, bytes: u64) -> (SimTime, SimTime) {
-        let start = at.max(self.busy_until);
-        let end = start + dur;
-        self.busy_until = end;
-        self.busy_time += dur;
-        self.bytes_transferred += bytes;
-        (start, end)
-    }
-
-    /// Reserve under an arbiter policy.  Returns `(start, end, backfilled)`;
-    /// `backfilled` is true when the transfer landed inside a recorded gap
-    /// instead of extending `busy_until`.
-    pub(crate) fn reserve_with(
+    /// earlier than `at`.  Returns `(start, end, backfilled)`;
+    /// `backfilled` is true when a `Latency` transfer landed inside a
+    /// recorded gap instead of extending `busy_until`.
+    pub(crate) fn reserve(
         &mut self,
-        policy: ChannelPolicy,
         at: SimTime,
         dur: Duration,
         bytes: u64,
+        class: ServiceClass,
     ) -> (SimTime, SimTime, bool) {
-        match policy {
-            ChannelPolicy::Direct => {
-                let (start, end) = self.reserve(at, dur, bytes);
-                (start, end, false)
+        self.busy_time += dur;
+        self.bytes_transferred += bytes;
+        // Gaps ending by `at` simply never match first-fit.  They are not
+        // pruned by `at`: with eager execution a tenant running far ahead
+        // in simulated time issues its transfers before (in call order) a
+        // neighbor's sim-earlier ones, and pruning by this op's `at` would
+        // destroy exactly the gaps the neighbor's traffic needs.
+        let fit = match class {
+            ServiceClass::Latency => {
+                self.gaps.iter().position(|(gs, ge)| (*gs).max(at) + dur <= *ge)
             }
-            ChannelPolicy::Backfill => {
-                // Gaps ending by `at` simply never match first-fit below.
-                // They are NOT pruned here: with eager execution a tenant
-                // running far ahead in simulated time issues its transfers
-                // before (in call order) a neighbor's sim-earlier ones, and
-                // pruning by this op's `at` would destroy exactly the gaps
-                // the neighbor's foreground traffic needs.  FIFO eviction
-                // at recording time bounds the list instead.
-                if let Some(i) = self.gaps.iter().position(|(gs, ge)| (*gs).max(at) + dur <= *ge) {
-                    let (gs, ge) = self.gaps.remove(i);
-                    let start = gs.max(at);
-                    let end = start + dur;
-                    // Keep the unused halves of the gap available.
-                    if end < ge {
-                        self.gaps.insert(i, (end, ge));
-                    }
-                    if start > gs {
-                        self.gaps.insert(i, (gs, start));
-                    }
-                    self.busy_time += dur;
-                    self.bytes_transferred += bytes;
-                    (start, end, true)
-                } else {
-                    // Appending past an idle window opens a gap exactly
-                    // like a deferred background append does — record it
-                    // so sim-earlier foreground transfers (issued later in
-                    // call order by a lagging tenant) can still use it.
-                    if at > self.busy_until {
-                        if self.gaps.len() == MAX_GAPS {
-                            self.gaps.remove(0);
-                        }
-                        self.gaps.push((self.busy_until, at));
-                    }
-                    let (start, end) = self.reserve(at, dur, bytes);
-                    (start, end, false)
-                }
+            ServiceClass::Throughput | ServiceClass::Background => None,
+        };
+        if let Some(i) = fit {
+            let (gs, ge) = self.gaps.remove(i);
+            let start = gs.max(at);
+            let end = start + dur;
+            // Keep the unused halves of the gap available.
+            if end < ge {
+                self.gaps.insert(i, (end, ge));
             }
-            ChannelPolicy::Append => {
-                if at > self.busy_until {
-                    if self.gaps.len() == MAX_GAPS {
-                        self.gaps.remove(0);
-                    }
-                    self.gaps.push((self.busy_until, at));
-                }
-                let (start, end) = self.reserve(at, dur, bytes);
-                (start, end, false)
+            if start > gs {
+                self.gaps.insert(i, (gs, start));
             }
+            self.evict_oldest_gaps();
+            return (start, end, true);
         }
+        if at > self.busy_until {
+            self.gaps.push((self.busy_until, at));
+            self.evict_oldest_gaps();
+        }
+        let start = at.max(self.busy_until);
+        let end = start + dur;
+        self.busy_until = end;
+        (start, end, false)
+    }
+
+    /// Enforce [`MAX_GAPS`] after an insert, dropping the oldest gaps.
+    fn evict_oldest_gaps(&mut self) {
+        let excess = self.gaps.len().saturating_sub(MAX_GAPS);
+        self.gaps.drain(..excess);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -225,58 +197,98 @@ mod tests {
         assert_eq!(die.queue_depth_hwm, 1);
     }
 
+    const TP: ServiceClass = ServiceClass::Throughput;
+    const LAT: ServiceClass = ServiceClass::Latency;
+
     #[test]
     fn channel_reserve_tracks_bytes() {
         let mut ch = Channel::default();
-        ch.reserve(SimTime::ZERO, Duration::from_us(10), 4096);
-        ch.reserve(SimTime::ZERO, Duration::from_us(10), 4096);
+        ch.reserve(SimTime::ZERO, Duration::from_us(10), 4096, TP);
+        ch.reserve(SimTime::ZERO, Duration::from_us(10), 4096, TP);
         assert_eq!(ch.bytes_transferred, 8192);
         assert_eq!(ch.busy_until, SimTime::from_us(20));
     }
 
     #[test]
-    fn append_records_gaps_and_backfill_consumes_them() {
+    fn appends_record_gaps_and_latency_transfers_backfill_them() {
         let mut ch = Channel::default();
-        // A deferred background transfer issued at t=100 on an idle
-        // channel opens the gap [0, 100).
-        let (s, e, bf) = ch.reserve_with(ChannelPolicy::Append, SimTime(100), Duration(50), 4096);
+        // A transfer issued at t=100 on an idle channel opens the gap
+        // [0, 100).
+        let (s, e, bf) = ch.reserve(SimTime(100), Duration(50), 4096, ServiceClass::Background);
         assert_eq!((s, e, bf), (SimTime(100), SimTime(150), false));
-        // A foreground transfer that fits the gap lands inside it without
+        // A throughput transfer never backfills, even where it would fit.
+        let (s, _, bf) = ch.reserve(SimTime(10), Duration(5), 4096, TP);
+        assert_eq!((s, bf), (SimTime(150), false));
+        // A latency transfer that fits the gap lands inside it without
         // touching busy_until.
-        let (s, e, bf) = ch.reserve_with(ChannelPolicy::Backfill, SimTime(10), Duration(40), 4096);
+        let (s, e, bf) = ch.reserve(SimTime(10), Duration(40), 4096, LAT);
         assert_eq!((s, e, bf), (SimTime(10), SimTime(50), true));
-        assert_eq!(ch.busy_until, SimTime(150));
+        assert_eq!(ch.busy_until, SimTime(155));
         // The gap's unused halves remain: [0,10) and [50,100).
-        let (s, _, bf) = ch.reserve_with(ChannelPolicy::Backfill, SimTime(0), Duration(45), 64);
+        let (s, _, bf) = ch.reserve(SimTime(0), Duration(45), 64, LAT);
         assert_eq!((s, bf), (SimTime(50), true));
         // Nothing left that fits 60 ns — falls through to an append.
-        let (s, _, bf) = ch.reserve_with(ChannelPolicy::Backfill, SimTime(0), Duration(60), 64);
-        assert_eq!((s, bf), (SimTime(150), false));
-    }
-
-    #[test]
-    fn direct_policy_matches_plain_reserve_and_records_no_gaps() {
-        let mut plain = Channel::default();
-        let mut direct = Channel::default();
-        for (at, dur) in [(0u64, 10u64), (50, 10), (55, 20), (200, 5)] {
-            let (s1, e1) = plain.reserve(SimTime(at), Duration(dur), 4096);
-            let (s2, e2, bf) =
-                direct.reserve_with(ChannelPolicy::Direct, SimTime(at), Duration(dur), 4096);
-            assert_eq!((s1, e1, false), (s2, e2, bf));
-        }
-        assert_eq!(plain.busy_until, direct.busy_until);
-        assert_eq!(plain.busy_time, direct.busy_time);
-        assert!(direct.gaps.is_empty(), "Direct never records gaps");
+        let (s, _, bf) = ch.reserve(SimTime(0), Duration(60), 64, LAT);
+        assert_eq!((s, bf), (SimTime(155), false));
     }
 
     #[test]
     fn gap_list_is_bounded() {
         let mut ch = Channel::default();
-        for i in 0..100u64 {
-            // Each append issues past busy_until, opening a fresh gap.
-            ch.reserve_with(ChannelPolicy::Append, SimTime(i * 1_000 + 500), Duration(1), 64);
+        // Open exactly MAX_GAPS gaps of 900 ns each.
+        for i in 0..MAX_GAPS as u64 {
+            ch.reserve(SimTime(i * 1_000 + 900), Duration(100), 64, TP);
         }
-        assert!(ch.gaps.len() <= 32, "gap list stays bounded, got {}", ch.gaps.len());
+        assert_eq!(ch.gaps.len(), MAX_GAPS);
+        // A latency transfer in the middle of the first gap splits it in
+        // two, one more entry than before the insert.
+        let (_, _, bf) = ch.reserve(SimTime(100), Duration(10), 64, LAT);
+        assert!(bf);
+        // Every later gap-opening append must keep the bound.
+        let base = MAX_GAPS as u64 * 1_000;
+        for i in 0..100u64 {
+            ch.reserve(SimTime(base + i * 1_000 + 900), Duration(100), 64, TP);
+            assert!(ch.gaps.len() <= MAX_GAPS, "gap list grew to {}", ch.gaps.len());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Calendar invariants of the one reservation path over random
+        /// `(at, dur, class)` sequences: (a) no two reserved intervals
+        /// overlap, (b) no transfer starts before it was issued, and (c)
+        /// without `Latency` transfers every start and end is exactly a
+        /// plain FIFO append's.
+        #[test]
+        fn channel_calendar_invariants(
+            ops in prop::collection::vec((0u64..20_000, 1u64..2_000, 0u8..3), 1..120),
+        ) {
+            let mut ch = Channel::default();
+            let mut fifo_busy = SimTime::ZERO;
+            let any_latency = ops.iter().any(|op| op.2 == 0);
+            let mut reserved: Vec<(SimTime, SimTime)> = Vec::new();
+            for (i, &(at, dur, class)) in ops.iter().enumerate() {
+                let class = ServiceClass::from_code(class).unwrap();
+                let (at, dur) = (SimTime(at), Duration(dur));
+                let (start, end, _) = ch.reserve(at, dur, 64, class);
+                prop_assert!(start >= at, "op {} started at {:?} before issue {:?}", i, start, at);
+                prop_assert_eq!(end, start + dur);
+                for (s, e) in &reserved {
+                    prop_assert!(
+                        end <= *s || start >= *e,
+                        "op {} [{:?},{:?}) overlaps [{:?},{:?})",
+                        i, start, end, s, e
+                    );
+                }
+                reserved.push((start, end));
+                let fifo_start = at.max(fifo_busy);
+                fifo_busy = fifo_start + dur;
+                if !any_latency {
+                    prop_assert_eq!((start, end), (fifo_start, fifo_busy));
+                }
+            }
+        }
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub mod time;
 pub mod timing;
 
 pub use addr::{BlockAddr, DieId, PageAddr, PlaneAddr};
-pub use arbiter::{ArbiterConfig, IoTag, ServiceClass};
+pub use arbiter::{IoTag, ServiceClass};
 pub use backend::FlashBackend;
 pub use badblock::BadBlockPolicy;
 pub use block::{BlockInfo, BlockSnapshot, BlockState, PageState};

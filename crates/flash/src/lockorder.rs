@@ -3,7 +3,7 @@
 //! The repository's documented lock hierarchy is a single total order:
 //!
 //! ```text
-//! manager → pending-io → mirror → mirror-range → queue → arbiter → die(id) → channel(id) → shared
+//! manager → pending-io → mirror → mirror-range → queue → die(id) → channel(id) → shared
 //! ```
 //!
 //! with ascending ids inside the `die`/`channel` classes.  Every shard-lock
@@ -56,10 +56,6 @@ pub enum LockClass {
     MirrorRange,
     /// The command queue's submission state (`CommandQueue::inner`).
     Queue,
-    /// The device's I/O-arbiter admission state (token buckets).  Sits
-    /// between `Queue` and the die shards: admission is decided before
-    /// any die or channel lock is taken.
-    Arbiter,
     /// A per-die device shard, ordered by die id.
     Die(u32),
     /// A per-channel device shard, ordered by channel id.
@@ -76,7 +72,6 @@ impl fmt::Display for LockClass {
             LockClass::Mirror => write!(f, "mirror"),
             LockClass::MirrorRange => write!(f, "mirror-range"),
             LockClass::Queue => write!(f, "queue"),
-            LockClass::Arbiter => write!(f, "arbiter"),
             LockClass::Die(id) => write!(f, "die({id})"),
             LockClass::Channel(id) => write!(f, "channel({id})"),
             LockClass::Shared => write!(f, "shared"),
@@ -134,7 +129,7 @@ pub fn acquire(class: LockClass) -> LockToken {
                         "lock-order violation: acquiring {class} while holding {h}; \
                          the documented order is \
                          manager -> pending-io -> mirror -> mirror-range -> queue \
-                         -> arbiter -> die -> channel -> shared, \
+                         -> die -> channel -> shared, \
                          ascending ids within a class"
                     );
                 }
@@ -224,8 +219,7 @@ mod tests {
         assert!(LockClass::PendingIo < LockClass::Mirror);
         assert!(LockClass::Mirror < LockClass::MirrorRange);
         assert!(LockClass::MirrorRange < LockClass::Queue);
-        assert!(LockClass::Queue < LockClass::Arbiter);
-        assert!(LockClass::Arbiter < LockClass::Die(0));
+        assert!(LockClass::Queue < LockClass::Die(0));
         assert!(LockClass::Die(7) < LockClass::Channel(0));
         assert!(LockClass::Channel(3) < LockClass::Shared);
         assert!(LockClass::Die(1) < LockClass::Die(2));

@@ -17,18 +17,17 @@
 //!   command queue, per kind; `flash.queue.{submitted,failed}`;
 //! * `flash.queue.class.<class>.wait_ns` — the same waits split by
 //!   [`ServiceClass`] (`latency`/`throughput`/`background`);
-//! * `flash.arbiter.*` — arbiter decisions on arbiter-enabled devices:
-//!   `class.<class>.ops` admissions per class, `deferred`/`deferral_ns`
-//!   budget deferrals, `aging_capped` deferrals clipped by the
-//!   anti-starvation bound, `backfills` foreground transfers landed in
-//!   background-opened gaps, `exempt` durability ops waved through.
+//! * `flash.arbiter.*` — service-class accounting of channel transfers on
+//!   every device: `class.<class>.ops` transfers per class, `backfills`
+//!   `Latency` transfers landed in idle channel gaps, `exempt` durability
+//!   transfers.
 
 use std::sync::Arc;
 
 use noftl_obs::{Counter, Gauge, Histogram, MetricsRegistry, Unit};
 
 use crate::addr::DieId;
-use crate::arbiter::ServiceClass;
+use crate::arbiter::{IoTag, ServiceClass};
 use crate::queue::OpKind;
 use crate::sched::Scheduled;
 use crate::time::SimTime;
@@ -75,6 +74,12 @@ pub(crate) struct DeviceObs {
     dies: Vec<DieObs>,
     depth_hwm: Gauge,
     quiesce_ns: Gauge,
+    /// Channel transfers per service class (slot order).
+    class_ops: Vec<Counter>,
+    /// `Latency` transfers that landed in an idle channel gap.
+    backfills: Counter,
+    /// Transfers tagged as durability traffic.
+    exempt: Counter,
 }
 
 impl DeviceObs {
@@ -96,7 +101,13 @@ impl DeviceObs {
             .collect();
         let depth_hwm = registry.gauge("flash.queue.depth_hwm");
         let quiesce_ns = registry.gauge("flash.device.quiesce_ns");
-        DeviceObs { registry, latency, dies, depth_hwm, quiesce_ns }
+        let class_ops = ServiceClass::ALL
+            .iter()
+            .map(|c| registry.counter(&format!("flash.arbiter.class.{}.ops", c.name())))
+            .collect();
+        let backfills = registry.counter("flash.arbiter.backfills");
+        let exempt = registry.counter("flash.arbiter.exempt");
+        DeviceObs { registry, latency, dies, depth_hwm, quiesce_ns, class_ops, backfills, exempt }
     }
 
     pub(crate) fn registry(&self) -> &Arc<MetricsRegistry> {
@@ -129,6 +140,19 @@ impl DeviceObs {
         }
         self.depth_hwm.set_max(u64::from(sched.depth));
         self.quiesce_ns.set_max(sched.complete.as_nanos());
+    }
+
+    /// Record the service class of one scheduled channel transfer.
+    pub(crate) fn note_transfer(&self, tag: IoTag, sched: &Scheduled) {
+        if let Some(c) = self.class_ops.get(tag.class.slot()) {
+            c.inc();
+        }
+        if sched.backfilled {
+            self.backfills.inc();
+        }
+        if tag.exempt {
+            self.exempt.inc();
+        }
     }
 }
 
@@ -202,46 +226,6 @@ impl QueueObs {
                     &[],
                 );
             }
-        }
-    }
-}
-
-/// Handles an arbiter-enabled device records admission decisions into.
-#[derive(Debug)]
-pub(crate) struct ArbiterObs {
-    /// Admissions per service class (slot order).
-    pub class_ops: Vec<Counter>,
-    /// Transfers deferred by a channel-bandwidth budget.
-    pub deferred: Counter,
-    /// Total simulated ns of budget deferral.
-    pub deferral_ns: Counter,
-    /// Deferrals clipped by the anti-starvation aging bound.
-    pub aging_capped: Counter,
-    /// Foreground transfers that landed in a background-opened gap.
-    pub backfills: Counter,
-    /// Exempt (durability) ops waved past the budget.
-    pub exempt: Counter,
-}
-
-impl ArbiterObs {
-    pub(crate) fn new(registry: &MetricsRegistry) -> Self {
-        ArbiterObs {
-            class_ops: ServiceClass::ALL
-                .iter()
-                .map(|c| registry.counter(&format!("flash.arbiter.class.{}.ops", c.name())))
-                .collect(),
-            deferred: registry.counter("flash.arbiter.deferred"),
-            deferral_ns: registry.counter("flash.arbiter.deferral_ns"),
-            aging_capped: registry.counter("flash.arbiter.aging_capped"),
-            backfills: registry.counter("flash.arbiter.backfills"),
-            exempt: registry.counter("flash.arbiter.exempt"),
-        }
-    }
-
-    /// Record one admission of `class`.
-    pub(crate) fn note_class(&self, class: ServiceClass) {
-        if let Some(c) = self.class_ops.get(class.slot()) {
-            c.inc();
         }
     }
 }

@@ -270,11 +270,10 @@ impl CommandQueue {
         self.submit_tagged(command, at, IoTag::default())
     }
 
-    /// [`CommandQueue::submit`] carrying an arbiter [`IoTag`]: the tag's
-    /// service class feeds the per-class queue-wait histograms and, on an
-    /// arbiter-enabled device, drives admission (budget deferral for
-    /// `Background`, gap backfill for foreground, exemption for
-    /// durability traffic).
+    /// [`CommandQueue::submit`] carrying an [`IoTag`]: the tag's service
+    /// class feeds the per-class queue-wait histograms and decides the
+    /// channel scheduling of the command (a `Latency` transfer backfills
+    /// idle channel gaps, every other class appends).
     pub fn submit_tagged(&self, command: FlashCommand, at: SimTime, tag: IoTag) -> CmdHandle {
         let die = command.die().0 as usize;
         let kind = command.kind();

@@ -14,7 +14,8 @@
 //!   this is exactly why GC under NoFTL prefers copybacks.
 //! * **Metadata read**: array read + a tiny OOB transfer.
 
-use crate::die::{Channel, ChannelPolicy, Die};
+use crate::arbiter::ServiceClass;
+use crate::die::{Channel, Die};
 use crate::time::{Duration, SimTime};
 use crate::timing::TimingModel;
 
@@ -27,9 +28,8 @@ pub(crate) struct Scheduled {
     pub complete: SimTime,
     /// Die queue depth at issue time (1 = the die was idle).
     pub depth: u32,
-    /// Whether the channel transfer landed in a backfilled idle gap
-    /// (arbiter-enabled devices only; always false under
-    /// [`ChannelPolicy::Direct`]).
+    /// Whether the channel transfer landed in a recorded idle gap (only
+    /// [`ServiceClass::Latency`] transfers backfill).
     pub backfilled: bool,
 }
 
@@ -47,11 +47,11 @@ pub(crate) fn schedule_read(
     timing: &TimingModel,
     at: SimTime,
     bytes: u32,
-    policy: ChannelPolicy,
+    class: ServiceClass,
 ) -> Scheduled {
     let (start, array_done, depth) = die.reserve(at, timing.read_array_time());
     let xfer = timing.transfer_time(bytes);
-    let (_, complete, backfilled) = channel.reserve_with(policy, array_done, xfer, bytes as u64);
+    let (_, complete, backfilled) = channel.reserve(array_done, xfer, bytes as u64, class);
     Scheduled { start, complete, depth, backfilled }
 }
 
@@ -63,10 +63,10 @@ pub(crate) fn schedule_program(
     timing: &TimingModel,
     at: SimTime,
     bytes: u32,
-    policy: ChannelPolicy,
+    class: ServiceClass,
 ) -> Scheduled {
     let xfer = timing.transfer_time(bytes);
-    let (start, xfer_done, backfilled) = channel.reserve_with(policy, at, xfer, bytes as u64);
+    let (start, xfer_done, backfilled) = channel.reserve(at, xfer, bytes as u64, class);
     let (_, complete, depth) = die.reserve(xfer_done, timing.program_array_time());
     Scheduled { start, complete, depth, backfilled }
 }
@@ -90,17 +90,19 @@ pub(crate) fn schedule_metadata_read(
     timing: &TimingModel,
     at: SimTime,
     oob_bytes: u32,
-    policy: ChannelPolicy,
+    class: ServiceClass,
 ) -> Scheduled {
     let (start, array_done, depth) = die.reserve(at, timing.read_array_time());
     let (_, complete, backfilled) =
-        channel.reserve_with(policy, array_done, timing.oob_transfer_time(), oob_bytes as u64);
+        channel.reserve(array_done, timing.oob_transfer_time(), oob_bytes as u64, class);
     Scheduled { start, complete, depth, backfilled }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const TP: ServiceClass = ServiceClass::Throughput;
 
     fn die() -> Die {
         Die::new(1, 4, 8)
@@ -111,7 +113,7 @@ mod tests {
         let mut d = die();
         let mut ch = Channel::default();
         let t = TimingModel::mlc_2015();
-        let s = schedule_read(&mut d, &mut ch, &t, SimTime::ZERO, 4096, ChannelPolicy::Direct);
+        let s = schedule_read(&mut d, &mut ch, &t, SimTime::ZERO, 4096, TP);
         let expected = t.read_array_time().as_us_f64() + t.transfer_time(4096).as_us_f64();
         assert!((s.latency(SimTime::ZERO).as_us_f64() - expected).abs() < 1e-6);
     }
@@ -121,7 +123,7 @@ mod tests {
         let mut d = die();
         let mut ch = Channel::default();
         let t = TimingModel::mlc_2015();
-        let s = schedule_program(&mut d, &mut ch, &t, SimTime::ZERO, 4096, ChannelPolicy::Direct);
+        let s = schedule_program(&mut d, &mut ch, &t, SimTime::ZERO, 4096, TP);
         let expected = t.program_array_time().as_us_f64() + t.transfer_time(4096).as_us_f64();
         assert!((s.latency(SimTime::ZERO).as_us_f64() - expected).abs() < 1e-6);
     }
@@ -151,8 +153,8 @@ mod tests {
         let mut ch1 = Channel::default();
         let mut ch2 = Channel::default();
         let t = TimingModel::mlc_2015();
-        let a = schedule_read(&mut d1, &mut ch1, &t, SimTime::ZERO, 4096, ChannelPolicy::Direct);
-        let b = schedule_read(&mut d2, &mut ch2, &t, SimTime::ZERO, 4096, ChannelPolicy::Direct);
+        let a = schedule_read(&mut d1, &mut ch1, &t, SimTime::ZERO, 4096, TP);
+        let b = schedule_read(&mut d2, &mut ch2, &t, SimTime::ZERO, 4096, TP);
         // Same completion time: full parallelism across dies and channels.
         assert_eq!(a.complete, b.complete);
     }
@@ -162,8 +164,8 @@ mod tests {
         let mut d = die();
         let mut ch = Channel::default();
         let t = TimingModel::mlc_2015();
-        let a = schedule_read(&mut d, &mut ch, &t, SimTime::ZERO, 4096, ChannelPolicy::Direct);
-        let b = schedule_read(&mut d, &mut ch, &t, SimTime::ZERO, 4096, ChannelPolicy::Direct);
+        let a = schedule_read(&mut d, &mut ch, &t, SimTime::ZERO, 4096, TP);
+        let b = schedule_read(&mut d, &mut ch, &t, SimTime::ZERO, 4096, TP);
         assert!(b.complete > a.complete);
         // The array phases serialize, transfers pipeline after them.
         assert!(b.start >= a.start + t.read_array_time());
@@ -175,8 +177,8 @@ mod tests {
         let mut d2 = die();
         let mut shared = Channel::default();
         let t = TimingModel::mlc_2015();
-        let a = schedule_read(&mut d1, &mut shared, &t, SimTime::ZERO, 4096, ChannelPolicy::Direct);
-        let b = schedule_read(&mut d2, &mut shared, &t, SimTime::ZERO, 4096, ChannelPolicy::Direct);
+        let a = schedule_read(&mut d1, &mut shared, &t, SimTime::ZERO, 4096, TP);
+        let b = schedule_read(&mut d2, &mut shared, &t, SimTime::ZERO, 4096, TP);
         // Array reads overlap (different dies) but the second transfer must
         // queue behind the first on the shared channel.
         assert_eq!(b.complete, a.complete + t.transfer_time(4096));
@@ -198,9 +200,8 @@ mod tests {
         let mut ch1 = Channel::default();
         let mut ch2 = Channel::default();
         let t = TimingModel::mlc_2015();
-        let full = schedule_read(&mut d1, &mut ch1, &t, SimTime::ZERO, 4096, ChannelPolicy::Direct);
-        let meta =
-            schedule_metadata_read(&mut d2, &mut ch2, &t, SimTime::ZERO, 64, ChannelPolicy::Direct);
+        let full = schedule_read(&mut d1, &mut ch1, &t, SimTime::ZERO, 4096, TP);
+        let meta = schedule_metadata_read(&mut d2, &mut ch2, &t, SimTime::ZERO, 64, TP);
         assert!(meta.complete < full.complete);
     }
 }

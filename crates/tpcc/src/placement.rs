@@ -12,8 +12,10 @@
 //! row/object pairing; the reconstruction below keeps the published die
 //! counts and groups objects by the update behaviour the text describes
 //! (hot insert streams, hot updates, large read-mostly objects, small hot
-//! tables, order indexes, metadata/history).  EXPERIMENTS.md documents
-//! this reconstruction explicitly.
+//! tables, order indexes, metadata/history).  The README's "Reproducing
+//! the paper's figures" section lists the binaries that print both
+//! placements; `python3 perfbench/run.py --figure3` reproduces the
+//! Figure 3 comparison at benchmark scale.
 
 use noftl_core::{ObjectProfile, PlacementAdvisor, PlacementConfig, RegionAssignment};
 

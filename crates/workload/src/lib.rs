@@ -1,7 +1,7 @@
 //! # noftl-workload — the workload lab
 //!
 //! Deterministic workload generation and replay for the NoFTL-regions
-//! stack: the measuring stick every placement/arbiter/caching change is
+//! stack: the measuring stick every placement/service-class/caching change is
 //! evaluated against.
 //!
 //! * [`rng`] — keyed SplitMix64 streams and the uniform / Zipfian /

@@ -7,16 +7,14 @@
 //! device*.  Regions own disjoint dies but the region allocator stripes
 //! both across every channel, so the tenants contend on channel
 //! transfers — the interference the paper's configurable regions are
-//! meant to make visible and the future cross-region arbiter is meant to
-//! bound.  The report therefore carries the OLTP tenant's tail both
-//! *shared* and *alone*; their ratio is the noisy-neighbor penalty.
+//! meant to make visible and service classes are meant to bound.  The
+//! report therefore carries the OLTP tenant's tail both *shared* and
+//! *alone*; their ratio is the noisy-neighbor penalty.
 
 use std::sync::Arc;
 
 use dbms_engine::DatabaseConfig;
-use flash_sim::{
-    ArbiterConfig, DeviceBuilder, FlashGeometry, NandDevice, ServiceClass, SimTime, TimingModel,
-};
+use flash_sim::{DeviceBuilder, FlashGeometry, NandDevice, ServiceClass, SimTime, TimingModel};
 use noftl_core::kv::KvConfig;
 use noftl_core::{NoFtl, NoFtlConfig, PlacementConfig, RegionSpec};
 use noftl_obs::{MetricsRegistry, Unit};
@@ -46,10 +44,10 @@ pub struct MultiTenantConfig {
     pub noisy_value_len: usize,
     /// Seed of every stream in the scenario.
     pub seed: u64,
-    /// Run with the device-level cross-region I/O arbiter enabled: the
-    /// OLTP region is declared `Latency` class, the noisy KV region
-    /// `Background`, so its flush/compaction channel time is budgeted.
-    pub arbiter: bool,
+    /// Declare the tenants' service classes: the OLTP region is
+    /// `Latency` class, so its channel transfers backfill the idle gaps
+    /// the noisy KV region (`Background`) leaves between its transfers.
+    pub service_classes: bool,
 }
 
 impl MultiTenantConfig {
@@ -64,13 +62,13 @@ impl MultiTenantConfig {
             noisy_rate_kops: 2.0,
             noisy_value_len: 400,
             seed: 0x9c7b,
-            arbiter: false,
+            service_classes: false,
         }
     }
 
-    /// The same scenario with the cross-region arbiter switched on.
-    pub fn with_arbiter(mut self) -> Self {
-        self.arbiter = true;
+    /// The same scenario with the tenants' service classes declared.
+    pub fn with_service_classes(mut self) -> Self {
+        self.service_classes = true;
         self
     }
 
@@ -216,17 +214,16 @@ fn build_stack(
     config: &MultiTenantConfig,
     registry: &Arc<MetricsRegistry>,
 ) -> Result<(Arc<NandDevice>, BtreeBackend, KvBackend, SimTime)> {
-    let mut builder = DeviceBuilder::new(FlashGeometry::example())
-        .timing(TimingModel::mlc_2015())
-        .metrics(Arc::clone(registry));
-    if config.arbiter {
-        builder = builder.arbiter(ArbiterConfig::default());
-    }
-    let dev = Arc::new(builder.build());
+    let dev = Arc::new(
+        DeviceBuilder::new(FlashGeometry::example())
+            .timing(TimingModel::mlc_2015())
+            .metrics(Arc::clone(registry))
+            .build(),
+    );
     let noftl = Arc::new(NoFtl::new(dev.clone(), NoFtlConfig::default()));
     let half = dev.geometry().total_dies() / 2;
     let mut placement = PlacementConfig::traditional(half, ["usertable".to_string()]);
-    if config.arbiter {
+    if config.service_classes {
         // The OLTP tenant declares its latency sensitivity to the device.
         for region in &mut placement.regions {
             region.service_class = Some(ServiceClass::Latency);
@@ -240,9 +237,9 @@ fn build_stack(
         SimTime::ZERO,
     )?;
     let mut noisy_spec = RegionSpec::named("rgNoisy").with_die_count(half);
-    if config.arbiter {
+    if config.service_classes {
         // The churning tenant is maintenance-grade: all of its traffic —
-        // host puts included — rides the background budget.
+        // host puts included — is `Background` class.
         noisy_spec = noisy_spec.with_service_class(ServiceClass::Background);
     }
     let rid = noftl.create_region(noisy_spec)?;

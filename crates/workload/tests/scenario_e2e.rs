@@ -34,9 +34,10 @@ fn scenario_is_deterministic() {
 }
 
 #[test]
-fn arbiter_caps_the_noisy_neighbor_penalty() {
+fn service_classes_cap_the_noisy_neighbor_penalty() {
     let off = oltp_beside_compaction(&MultiTenantConfig::quick()).expect("scenario");
-    let on = oltp_beside_compaction(&MultiTenantConfig::quick().with_arbiter()).expect("scenario");
+    let on = oltp_beside_compaction(&MultiTenantConfig::quick().with_service_classes())
+        .expect("scenario");
     eprintln!(
         "off: penalty={:.3} oltp_kops={:.3} compact_kops={:.3} alone_p99={:.1}",
         off.p99_penalty,
@@ -51,7 +52,7 @@ fn arbiter_caps_the_noisy_neighbor_penalty() {
         on.compact_shared.achieved_kops,
         on.oltp_alone.p99_us
     );
-    assert!(on.p99_penalty <= 2.0, "arbiter-on penalty {:.3} > 2.0", on.p99_penalty);
+    assert!(on.p99_penalty <= 2.0, "with-classes penalty {:.3} > 2.0", on.p99_penalty);
     assert!(
         on.compact_shared.achieved_kops >= off.compact_shared.achieved_kops * 0.75,
         "background tenant degraded more than 25%: {:.3} vs {:.3}",
